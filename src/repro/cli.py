@@ -599,63 +599,43 @@ def cmd_client(args: argparse.Namespace) -> int:
     pipes straight into ``jq``/the CI smoke script)."""
     import asyncio
 
-    from repro.server.client import (
-        ReconnectingClient,
-        ServerClient,
-        ServerError,
-    )
+    from repro.resilience import Backoff
+    from repro.server.client import ServerClient, ServerError
 
     host, port = _parse_hostport(args.connect, "--connect")
     specs = _parse_query_specs(args.query)
     if not specs:
         raise SystemExit("client needs at least one --query [name=]file")
     params = _parse_params(args.param)
-    if args.reconnect and not (args.durable or
-                               args.resume_from is not None):
+    durable = args.durable or args.resume_from is not None
+    if args.reconnect and not durable:
         raise SystemExit("--reconnect needs --durable: gapless resume "
                          "works off the durable match cursor")
 
     async def _run() -> int:
-        if args.reconnect:
-            from repro.resilience import Backoff
-
-            backoff = Backoff(initial=args.reconnect_delay,
+        client = await ServerClient.connect(
+            host, port, transport=args.transport,
+            reconnect=Backoff(initial=args.reconnect_delay,
                               max_delay=args.reconnect_max_delay,
                               max_retries=args.reconnect_max)
-            try:
-                client = await ReconnectingClient.connect(
-                    host, port, transport=args.transport,
-                    token=args.token, client="repro-cli",
-                    backoff=backoff,
-                    on_reconnect=lambda c: print(
-                        f"client: reconnected "
-                        f"(#{c.reconnects})", file=sys.stderr))
-            except ServerError as error:
-                print(f"server refused: {error}", file=sys.stderr)
-                return 1
-        else:
-            client = await ServerClient.connect(host, port,
-                                                transport=args.transport)
+            if args.reconnect else None,
+            on_reconnect=lambda c: print(
+                f"client: reconnected (#{c.reconnects})",
+                file=sys.stderr))
         matches = 0
         end_reason = None  # None = clean break (budget/finals/goodbye)
         try:
-            if not args.reconnect:
-                await client.hello(token=args.token, client="repro-cli")
+            await client.hello(token=args.token, client="repro-cli")
             subscribed: set[str] = set()
             for name, path in specs:
-                text = Path(path).read_text()
-                if args.durable or args.resume_from is not None:
-                    ack = await client.subscribe_durable(
-                        text, name=name, engine=args.engine,
-                        params=params or None,
-                        resume_from=args.resume_from)
-                    subscribed.add(ack["subscription"])
+                subscribed.add(await client.subscribe(
+                    Path(path).read_text(), name=name,
+                    engine=args.engine, params=params or None,
+                    watermarks=not durable, durable=durable,
+                    resume_from=args.resume_from))
+                if durable:
                     print(f"subscribed durable {name!r} at cursor "
-                          f"{ack.get('cursor')}", file=sys.stderr)
-                else:
-                    subscribed.add(await client.subscribe(
-                        text, name=name, engine=args.engine,
-                        params=params or None, watermarks=True))
+                          f"{client.cursor(name)}", file=sys.stderr)
             if args.data:
                 batch: list = []
                 for event in _iter_csv_events(args):

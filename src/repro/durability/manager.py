@@ -320,9 +320,10 @@ class DurabilityManager:
                       "drain": bool(drain)})
         self._writer.flush_os()
 
-    def set_durable(self, durable: bool) -> None:
+    def set_durable(self, durable: Optional[bool]) -> None:
         """Latch the durable flag for the *next* attach (consumed by
-        its ``log_attach``; single-threaded like the hub itself)."""
+        its ``log_attach``; single-threaded like the hub itself).
+        ``None`` clears an unconsumed latch (the attach was refused)."""
         self._next_durable = durable
 
     def handle_match(self, name: str, match) -> Optional[Any]:

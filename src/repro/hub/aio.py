@@ -32,10 +32,10 @@ them), only match *delivery* — queue puts and sink awaits — is async.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Mapping, Optional
-
 import asyncio
+import inspect
+from collections import deque
+from typing import Any, AsyncIterator, Callable, Mapping, Optional
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
@@ -52,20 +52,53 @@ from repro.patterns.query import Query
 _DONE = object()  # queue sentinel: this attachment will emit no more
 
 
+class _MatchContext(MiddlewareContext):
+    """The facade's ``on_match`` context: ``context.cursor`` is a durable
+    attachment's WAL cursor of this match (``None`` otherwise)."""
+
+    __slots__ = ("cursor",)  # not on the base: sync sessions build those
+
+
+def _staging_sink(staged: deque, journal=None, name=None):
+    """The (sync) sink of one inner attachment: buffer each match for
+    the facade's next ``_dispatch`` — beside its WAL cursor when
+    ``journal`` numbers attachment ``name``: the durability middleware
+    is innermost, it numbered and logged the match just before sink
+    dispatch, so the journal's cursor *is* this match's cursor.
+
+    A closure over the buffer alone, not a method of the attachment:
+    the sync hub keeps detached sessions, sinks included, for its stats
+    history."""
+    if journal is None:
+        return lambda match: staged.append((None, match))
+    return lambda match: staged.append((journal.cursor(name), match))
+
+
 class AsyncAttachment:
     """Async face of one attachment: awaitable iteration + async sinks.
 
     Without a sink, matches flow through a bounded :class:`asyncio.Queue`
     — ``async for match in attachment`` consumes them and ends when the
     attachment detaches or the hub flushes/closes.
+
+    A *durable* attachment (``hub.attach(..., durable=True)`` on a hub
+    opened over a durability manager) outlives its consumer, the
+    facade's :meth:`AsyncStreamHub.aclose` and — through the WAL — the
+    process: every match is staged beside its WAL cursor
+    (:meth:`cursored`), :meth:`abandon` *parks* it instead of detaching,
+    and the next durable attach of its name re-adopts it.
     """
 
     def __init__(self, hub: "AsyncStreamHub", inner: Attachment,
-                 staged: list, sink, queue_size: int,
-                 middleware: tuple = ()) -> None:
+                 staged: deque, sink, queue_size: int,
+                 middleware: tuple = (), durable: bool = False) -> None:
         self._hub = hub
         self.inner = inner
-        self._staged = staged
+        self.durable = durable
+        #: no consumer holds this durable attachment: deliveries are
+        #: dropped, never awaited (the matches are in the WAL)
+        self.parked = False
+        self._staged = staged   # (cursor | None, match), see _staging_sink
         self._sink = sink
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self._sink_errors: list = []
@@ -116,20 +149,23 @@ class AsyncAttachment:
         ``queue.put`` is where producer backpressure happens: it
         suspends while the queue is full.
         """
-        while self._staged:
-            match = self._staged.pop(0)
+        staged = self._staged
+        while staged:
+            cursor, match = staged.popleft()
             if self._achain_match is None:
-                await self._deliver(match)
+                await self._deliver(match, cursor)
                 continue
-            ctx = MiddlewareContext("on_match", match=match,
-                                    hub=self._hub, attachment=self)
+            ctx = _MatchContext("on_match", match=match, hub=self._hub,
+                                attachment=self)
+            ctx.cursor = cursor
             await self._achain_match(ctx)  # None w/o call_next suppresses
 
-    async def _match_terminal(self, ctx: MiddlewareContext):
-        await self._deliver(ctx.match)
+    async def _match_terminal(self, ctx: _MatchContext):
+        await self._deliver(ctx.match, ctx.cursor)
         return ctx.match
 
-    async def _deliver(self, match: ComplexEvent) -> None:
+    async def _deliver(self, match: ComplexEvent,
+                       cursor: Optional[int] = None) -> None:
         if self._sink is not None:
             try:
                 result = self._sink(match)
@@ -137,10 +173,10 @@ class AsyncAttachment:
                     await result
             except Exception as error:  # noqa: BLE001 - sink isolation
                 await self._record_error(match, error)
-        elif not self._done_sent:
+        elif not (self._done_sent or self.parked):
             # after abandon/abort nobody will consume this queue, so a
             # late match is dropped rather than parked (or blocked on)
-            await self._queue.put(match)
+            await self._queue.put((cursor, match))
 
     async def _record_error(self, match, error) -> None:
         if self._achain_error is None:
@@ -157,7 +193,8 @@ class AsyncAttachment:
     async def _send_done(self) -> None:
         if not self._done_sent and self._sink is None:
             self._done_sent = True
-            await self._queue.put(_DONE)
+            if not self.parked:  # no reader: _adopt() re-arms the queue
+                await self._queue.put(_DONE)
 
     def _abort_queue(self) -> None:
         """Error path: end iteration *now* without awaiting.
@@ -188,7 +225,15 @@ class AsyncAttachment:
         item = await self._queue.get()
         if item is _DONE:
             raise StopAsyncIteration
-        return item
+        return item[1]
+
+    async def cursored(self) -> AsyncIterator[
+            tuple[Optional[int], ComplexEvent]]:
+        """Iterate ``(cursor, match)``: like ``async for`` over the
+        attachment, with each match's WAL cursor beside it (``None`` on
+        non-durable attachments)."""
+        while (item := await self._queue.get()) is not _DONE:
+            yield item
 
     async def detach(self, drain: bool = True) -> list[ComplexEvent]:
         """Leave the hub; iteration over this attachment ends.
@@ -224,23 +269,46 @@ class AsyncAttachment:
 
         Unlike :meth:`detach`, this never waits on the vanished
         consumer: a producer suspended on this attachment's full queue
-        is *released* — each drain wakes one blocked ``put``, a yield
-        lets it complete, and once the attachment is marked done its
+        is *released*, and once the attachment is marked done its
         later matches are dropped in :meth:`_deliver` instead of
         parked.  The ``on_detach`` chain still runs exactly once (via
         the idempotent detach).
+
+        A *durable* attachment is parked instead: it stays attached,
+        keeps matching and WAL-logging, and queues nothing until the
+        next ``attach(..., durable=True)`` of its name adopts it.
         """
+        if self.durable:
+            self.parked = True
+            await self._release_queue()
+            return
         self._staged.clear()
         if self._sink is None and not self._done_sent:
             self._done_sent = True  # _deliver drops from here on
-            while True:
-                while not self._queue.empty():
-                    self._queue.get_nowait()
-                await asyncio.sleep(0)  # woken producers finish their put
-                if self._queue.empty():
-                    break
+            await self._release_queue()
             self._queue.put_nowait(_DONE)
         await self.detach(drain=False)
+
+    async def _release_queue(self) -> None:
+        """Empty the queue and release every producer suspended on it:
+        each drain wakes one blocked ``put``, a yield lets it complete,
+        and ``_deliver`` already drops, so the queue ends up empty."""
+        queue = self._queue  # _adopt() may swap in a fresh one meanwhile
+        while True:
+            while not queue.empty():
+                queue.get_nowait()
+            await asyncio.sleep(0)  # woken producers finish their put
+            if queue.empty():
+                break
+
+    def _adopt(self) -> None:
+        """A new consumer takes over this parked attachment: a fresh
+        queue (stale producers finish into the old one), already ended
+        if the stream is."""
+        self.parked = False
+        self._queue = asyncio.Queue(maxsize=self._queue.maxsize)
+        if self._done_sent:
+            self._queue.put_nowait(_DONE)
 
 
 class AsyncStreamHub:
@@ -255,17 +323,7 @@ class AsyncStreamHub:
                  queue_size: int = 256,
                  share: Optional[bool] = None,
                  middleware: Optional[list] = None,
-                 hub: Optional[StreamHub] = None) -> None:
-        # sink-less *sync* queues are never used here (every inner
-        # attachment gets a staging sink), so the sync bound is moot.
-        # The inner hub gets NO middleware: interception happens at
-        # this layer, where hooks may be ``async def`` and each chain
-        # link awaits — the sync hub would not await them.  A caller
-        # may wrap a pre-built (e.g. durability-recovered) sync hub via
-        # ``hub=``; its own middleware (synchronous, like the
-        # DurabilityMiddleware) keeps running at the sync layer.
-        self._hub = hub if hub is not None else StreamHub(
-            slack=slack, late_policy=late_policy, share=share)
+                 durability=None, inner_middleware=()) -> None:
         self.queue_size = queue_size
         self._attachments: list[AsyncAttachment] = []
         self._stack = MiddlewareStack(middleware or ())
@@ -281,6 +339,40 @@ class AsyncStreamHub:
             "on_flush", self._flush_terminal)
         self._achain_close = self._stack.async_chain(
             "on_flush", self._close_terminal)
+        # sink-less *sync* queues are never used here (every inner
+        # attachment gets a staging sink), so the sync bound is moot.
+        # The inner hub gets none of ``middleware``: interception
+        # happens at this layer, where hooks may be ``async def`` and
+        # each chain link awaits — the sync hub would not await them.
+        # ``durability`` (a :class:`~repro.durability.manager.
+        # DurabilityManager`) makes the inner hub the one the manager
+        # opens — or recovers — WAL-logged by its innermost (sync)
+        # durability middleware with ``inner_middleware`` outside it;
+        # attachments the recovery restores arrive parked.
+        self._journal = durability
+        if durability is None:
+            self._hub = StreamHub(slack=slack, late_policy=late_policy,
+                                  share=share)
+            return
+        restored: dict[str, deque] = {}
+
+        def adopt(record: dict):
+            staged = restored[record["name"]] = deque()
+            return _staging_sink(staged, durability, record["name"])
+
+        self._hub = durability.start(
+            slack=slack, late_policy=late_policy, share=share,
+            queue_size=queue_size, middleware=inner_middleware,
+            sink_provider=adopt)
+        for inner in self._hub.attachments:
+            if inner.name in restored:
+                attachment = AsyncAttachment(
+                    self, inner, restored[inner.name], None, queue_size,
+                    self._session_middleware, durable=True)
+                attachment.parked = True
+                # a hub recovered after its flush has nothing more to say
+                attachment._done_sent = inner.state == Attachment.FLUSHED
+                self._attachments.append(attachment)
 
     @property
     def watermark(self) -> float:
@@ -305,6 +397,7 @@ class AsyncStreamHub:
                sink: Optional[Callable[[ComplexEvent], Any]] = None,
                queue_size: Optional[int] = None,
                middleware: Optional[list] = None,
+               durable: bool = False,
                **engine_options) -> AsyncAttachment:
         """Subscribe one query; ``sink`` may be sync or ``async def``.
 
@@ -312,20 +405,30 @@ class AsyncStreamHub:
         sink errors at the async layer (hooks may be ``async def``);
         ``on_attach`` hooks of the hub's middleware run here too, but
         must be synchronous — ``attach()`` is not a coroutine.
+
+        ``durable=True`` (needs a hub opened over a durability manager)
+        WAL-logs the attachment as restorable and stages its matches
+        with their cursors; when a parked durable attachment already
+        holds ``name``, the chain runs and that attachment is adopted
+        instead of a new one being built.
         """
+        if durable and (self._journal is None or not name):
+            raise ValueError("durable attachments need a name and a hub "
+                             "opened over a durability manager")
         user_middleware = tuple(middleware or ())
         chain = self._stack.chain(
             "on_attach",
             lambda ctx: self._attach_raw(
                 ctx.query, engine=ctx.engine, name=ctx.name,
                 params=params, sink=sink, queue_size=queue_size,
-                middleware=user_middleware,
+                middleware=user_middleware, durable=durable,
                 engine_options=engine_options))
         if chain is None:
             return self._attach_raw(
                 query, engine=engine, name=name, params=params,
                 sink=sink, queue_size=queue_size,
-                middleware=user_middleware, engine_options=engine_options)
+                middleware=user_middleware, durable=durable,
+                engine_options=engine_options)
         ctx = MiddlewareContext("on_attach", hub=self, query=query,
                                 name=name, engine=engine)
         attachment = chain(ctx)
@@ -339,15 +442,28 @@ class AsyncStreamHub:
     def _attach_raw(self, query: Query | str, *, engine: str,
                     name: Optional[str], params, sink,
                     queue_size: Optional[int], middleware: tuple,
+                    durable: bool,
                     engine_options: dict) -> AsyncAttachment:
-        staged: list = []
-        inner = self._hub.attach(query, engine=engine, name=name,
-                                 params=params, sink=staged.append,
-                                 **engine_options)
+        journal = self._journal if durable else None
+        if durable:
+            for attachment in self._attachments:
+                if attachment.parked and attachment.name == name:
+                    attachment._adopt()
+                    return attachment
+            journal.set_durable(True)
+        staged: deque = deque()
+        try:
+            inner = self._hub.attach(
+                query, engine=engine, name=name, params=params,
+                sink=_staging_sink(staged, journal, name), **engine_options)
+        finally:
+            if durable:  # a refused attach must not leak the latch
+                journal.set_durable(None)
         attachment = AsyncAttachment(
             self, inner, staged, sink,
             queue_size=self.queue_size if queue_size is None else queue_size,
-            middleware=self._session_middleware + middleware)
+            middleware=self._session_middleware + middleware,
+            durable=durable)
         self._attachments.append(attachment)
         return attachment
 
@@ -459,8 +575,10 @@ class AsyncStreamHub:
             for attachment in list(self._attachments):
                 # idempotent per attachment: runs its on_detach chain
                 # once, sends the end-of-iteration sentinel, and drops
-                # it from the dispatch loop
-                await attachment.detach()
+                # it from the dispatch loop.  Durable attachments stay:
+                # a WAL-logged detach would un-restore them
+                if not attachment.durable:
+                    await attachment.detach()
             self._hub.close()
         return delivered
 

@@ -12,8 +12,8 @@ The layer has two halves:
   core invariants survive.
 * **Recovery** (:mod:`repro.resilience.backoff`) — the deterministic
   exponential :class:`Backoff` schedule that drives client
-  auto-reconnect (:class:`repro.server.client.ReconnectingClient` and
-  ``python -m repro client --reconnect``).
+  auto-reconnect (``repro.server.client.ServerClient.connect(...,
+  reconnect=Backoff())`` and ``python -m repro client --reconnect``).
 """
 
 from repro.resilience.backoff import Backoff

@@ -31,11 +31,7 @@ from repro.server.http import HTTPServer
 from repro.server.tcp import TCPServer
 from repro.server.ws import WSServer
 from repro.server.runner import ServeRuntime, run_server
-from repro.server.client import (
-    ReconnectingClient,
-    ServerClient,
-    ServerError,
-)
+from repro.server.client import ServerClient, ServerError
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -54,5 +50,4 @@ __all__ = [
     "run_server",
     "ServerClient",
     "ServerError",
-    "ReconnectingClient",
 ]

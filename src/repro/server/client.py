@@ -22,6 +22,16 @@ request carries a fresh id and :meth:`request` waits for the matching
 ``ack``/``error``, parking any ``match``/``watermark`` frames that
 arrive in between on the streaming queue — so pushing and tailing can
 interleave on one connection.
+
+Given a :class:`~repro.resilience.backoff.Backoff` the same client is
+self-healing: ``ServerClient.connect(host, port, reconnect=Backoff())``
+survives server restarts — when the connection dies it redials on the
+schedule, replays its ``hello`` and every *durable* subscription from
+the last match cursor it received, so the stream seen through
+:meth:`next_frame` is gapless and duplicate-free across any number of
+server deaths (``python -m repro client --reconnect`` and the chaos
+suite ride on this).  Plain subscriptions have no cursor to resume
+from and are not re-established.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from repro.server.protocol import (
     event_to_wire,
 )
 
-__all__ = ["ServerError", "ServerClient", "ReconnectingClient"]
+__all__ = ["ServerError", "ServerClient"]
 
 
 class ServerError(RuntimeError):
@@ -58,38 +68,64 @@ class ServerClient:
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
                  transport: str = "tcp") -> None:
-        self.reader = reader
-        self.writer = writer
         self.transport = transport
         self.client_id: Optional[str] = None
         self.closed = False
-        #: True once the connection has really ended (EOF / reset / a
-        #: protocol failure in the read loop) — lets callers tell a
-        #: dead connection apart from a ``next_frame`` timeout.
-        self.ended = False
         self._ids = itertools.count(1)
         self._pending: dict[Any, asyncio.Future] = {}
         self._stream: asyncio.Queue = asyncio.Queue()
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        # reconnect-and-resume (``connect(..., reconnect=Backoff)``):
+        # where to redial, what to replay, where each durable tail is
+        self._address: Optional[tuple[str, int]] = None
+        self._backoff = None
+        self._on_reconnect = None
+        self._hello: dict = {}
+        self._durable: dict[str, dict] = {}   # name -> subscribe options
+        self._cursors: dict[str, int] = {}    # name -> last cursor received
+        self.reconnects = 0
+        #: True once the reconnect retry budget ran out
+        self.gave_up = False
+        self._start(reader, writer)
 
     # -- connection --------------------------------------------------------
 
     @classmethod
     async def connect(cls, host: str, port: int,
-                      transport: str = "tcp") -> "ServerClient":
+                      transport: str = "tcp", *, reconnect=None,
+                      on_reconnect=None) -> "ServerClient":
+        """Open one connection.  ``reconnect`` (a
+        :class:`~repro.resilience.backoff.Backoff`) makes
+        :meth:`next_frame` heal a dead connection instead of ending;
+        ``on_reconnect(client)`` is called after each success."""
+        self = cls(*await cls._dial(host, port, transport), transport)
+        self._address = (host, port)
+        self._backoff = reconnect
+        self._on_reconnect = on_reconnect
+        return self
+
+    @staticmethod
+    async def _dial(host: str, port: int, transport: str):
+        if transport not in ("tcp", "ws"):
+            raise ValueError(f"unknown transport {transport!r}")
         reader, writer = await asyncio.open_connection(
             host, port, limit=MAX_FRAME_BYTES + 1024)
         if transport == "ws":
             await wslib.client_handshake(reader, writer,
                                          f"{host}:{port}")
-        elif transport != "tcp":
-            raise ValueError(f"unknown transport {transport!r}")
-        return cls(reader, writer, transport)
+        return reader, writer
 
-    async def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
+    def _start(self, reader: asyncio.StreamReader,
+               writer: asyncio.StreamWriter) -> None:
+        self.reader = reader
+        self.writer = writer
+        #: True once the connection has really ended (EOF / reset / a
+        #: protocol failure in the read loop) — lets callers tell a
+        #: dead connection apart from a ``next_frame`` timeout.  A
+        #: successful reconnect clears it again.
+        self.ended = False
+        self._reader_task = asyncio.ensure_future(self._read_loop())
+
+    async def _hangup(self) -> None:
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -99,6 +135,12 @@ class ServerClient:
             self.writer.close()
         except (ConnectionError, OSError):
             pass
+
+    async def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        await self._hangup()
 
     async def __aenter__(self) -> "ServerClient":
         return self
@@ -127,7 +169,8 @@ class ServerClient:
     async def _read_loop(self) -> None:
         """Demultiplex inbound frames: acks/errors resolve their
         pending request future, everything else (matches, watermarks,
-        goodbyes, unsolicited errors) streams to :meth:`frames`."""
+        goodbyes, unsolicited errors) streams to :meth:`frames` —
+        durable match cursors are noted on the way."""
         try:
             while True:
                 raw = await self._recv_raw()
@@ -142,8 +185,11 @@ class ServerClient:
                     continue
                 if rid is not None and rid in self._pending:
                     self._pending.pop(rid).set_result(frame)
-                else:
-                    await self._stream.put(frame)
+                    continue
+                if frame.get("type") == "match" and "cursor" in frame:
+                    self._cursors[frame.get("subscription")] = \
+                        frame["cursor"]
+                await self._stream.put(frame)
         except (ConnectionError, OSError, ProtocolError,
                 asyncio.IncompleteReadError):
             pass
@@ -160,7 +206,11 @@ class ServerClient:
 
     async def request(self, frame: dict) -> dict:
         """Send one request and await its ``ack`` (or raise the
-        matching ``error`` as :class:`ServerError`)."""
+        matching ``error`` as :class:`ServerError`).  On a connection
+        that has already ended it raises :class:`ConnectionError` at
+        once — nobody is left to resolve the reply."""
+        if self.ended:
+            raise ConnectionError("the connection has ended")
         rid = next(self._ids)
         frame["id"] = rid
         future: asyncio.Future = asyncio.get_event_loop().create_future()
@@ -174,6 +224,7 @@ class ServerClient:
 
     async def hello(self, token: Optional[str] = None,
                     client: str = "") -> dict:
+        self._hello = {"token": token, "client": client}
         frame: dict = {"type": "hello", "version": PROTOCOL_VERSION}
         if token is not None:
             frame["token"] = token
@@ -183,17 +234,11 @@ class ServerClient:
         self.client_id = ack.get("client_id")
         return ack
 
-    async def subscribe(self, query: str, *,
-                        name: Optional[str] = None,
-                        engine: Optional[str] = None,
-                        params: Optional[Mapping[str, Any]] = None,
-                        watermarks: bool = False,
-                        durable: bool = False,
-                        resume_from: Optional[int] = None) -> str:
-        """Subscribe a query; with ``durable=True`` (needs ``name``)
-        the server keeps the attachment and its WAL-logged match
-        cursor across disconnects and restarts — pass the last seen
-        cursor as ``resume_from`` to replay the gap exactly once."""
+    async def _subscribe(self, query: str, *, name: Optional[str],
+                         engine: Optional[str],
+                         params: Optional[Mapping[str, Any]],
+                         watermarks: bool, durable: bool,
+                         resume_from: Optional[int]) -> dict:
         frame: dict = {"type": "subscribe", "query": query}
         if name:
             frame["name"] = name
@@ -207,7 +252,34 @@ class ServerClient:
             frame["durable"] = True
         if resume_from is not None:
             frame["resume_from"] = int(resume_from)
+            # before the request: the read loop may see replayed
+            # matches ahead of this coroutine seeing the ack
+            self._cursors[name] = int(resume_from)
         ack = await self.request(frame)
+        if ack.get("durable"):
+            # remembered for reconnect-and-resume; without resume_from
+            # the tail starts at the server's current cursor
+            self._durable[name] = {
+                "query": query, "engine": engine, "params": params,
+                "watermarks": watermarks}
+            self._cursors.setdefault(name, int(ack.get("cursor") or 0))
+        return ack
+
+    async def subscribe(self, query: str, *,
+                        name: Optional[str] = None,
+                        engine: Optional[str] = None,
+                        params: Optional[Mapping[str, Any]] = None,
+                        watermarks: bool = False,
+                        durable: bool = False,
+                        resume_from: Optional[int] = None) -> str:
+        """Subscribe a query; with ``durable=True`` (needs ``name``)
+        the server keeps the attachment and its WAL-logged match
+        cursor across disconnects and restarts — pass the last seen
+        cursor as ``resume_from`` to replay the gap exactly once."""
+        ack = await self._subscribe(
+            query, name=name, engine=engine, params=params,
+            watermarks=watermarks, durable=durable,
+            resume_from=resume_from)
         return ack["subscription"]
 
     async def subscribe_durable(self, query: str, *, name: str,
@@ -217,19 +289,18 @@ class ServerClient:
                                 watermarks: bool = False) -> dict:
         """Like :meth:`subscribe` with ``durable=True`` but returns the
         full ack (including the current durable ``cursor``)."""
-        frame: dict = {"type": "subscribe", "query": query,
-                       "name": name, "durable": True}
-        if engine:
-            frame["engine"] = engine
-        if params:
-            frame["params"] = dict(params)
-        if watermarks:
-            frame["watermarks"] = True
-        if resume_from is not None:
-            frame["resume_from"] = int(resume_from)
-        return await self.request(frame)
+        return await self._subscribe(
+            query, name=name, engine=engine, params=params,
+            watermarks=watermarks, durable=True, resume_from=resume_from)
+
+    def cursor(self, name: str) -> int:
+        """Last match cursor received on durable subscription ``name``
+        (where a reconnect would resume it)."""
+        return self._cursors.get(name, 0)
 
     async def unsubscribe(self, subscription: str) -> dict:
+        self._durable.pop(subscription, None)
+        self._cursors.pop(subscription, None)
         return await self.request({"type": "unsubscribe",
                                    "subscription": subscription})
 
@@ -265,157 +336,25 @@ class ServerClient:
                          timeout: Optional[float] = None
                          ) -> Optional[dict]:
         """One streamed frame (match/watermark/goodbye/...), ``None``
-        on connection end or timeout."""
-        try:
-            if timeout is None:
-                return await self._stream.get()
-            return await asyncio.wait_for(self._stream.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
-
-    async def frames(self) -> AsyncIterator[dict]:
-        """Iterate streamed frames until the connection ends."""
+        on connection end or timeout.  A reconnecting client heals a
+        dead connection here instead: ``None`` then means *timeout*
+        (connection alive) or the final give-up (``ended`` stays
+        True)."""
         while True:
-            frame = await self.next_frame()
-            if frame is None:
-                return
-            yield frame
-
-
-class ReconnectingClient:
-    """A self-healing tail over :class:`ServerClient`.
-
-    Wraps one durable-subscription consumer and survives server
-    restarts: when the connection dies unexpectedly it reconnects on a
-    :class:`~repro.resilience.backoff.Backoff` schedule, replays the
-    ``hello`` and every registered durable subscription, and resumes
-    each one from the last match cursor it delivered — so the stream
-    seen through :meth:`next_frame` is gapless and duplicate-free
-    across any number of server deaths (``python -m repro client
-    --reconnect`` and the chaos suite both ride on this).
-
-    Only *durable* subscriptions are re-established; plain ones have no
-    cursor to resume from, so a reconnecting consumer must subscribe
-    with ``durable=True``.
-    """
-
-    def __init__(self, host: str, port: int, *,
-                 transport: str = "tcp",
-                 token: Optional[str] = None,
-                 client: str = "",
-                 backoff: Optional["Backoff"] = None,
-                 on_reconnect=None) -> None:
-        from repro.resilience.backoff import Backoff
-        self.host = host
-        self.port = port
-        self.transport = transport
-        self._token = token
-        self._label = client
-        self._backoff = backoff if backoff is not None else Backoff()
-        self._on_reconnect = on_reconnect
-        self.client: Optional[ServerClient] = None
-        self.closed = False
-        self.gave_up = False
-        self.reconnects = 0
-        # name -> subscribe kwargs, name -> last delivered cursor
-        self._durable: dict[str, dict] = {}
-        self._cursors: dict[str, int] = {}
-
-    @classmethod
-    async def connect(cls, host: str, port: int, *,
-                      transport: str = "tcp",
-                      token: Optional[str] = None,
-                      client: str = "",
-                      backoff: Optional["Backoff"] = None,
-                      on_reconnect=None) -> "ReconnectingClient":
-        self = cls(host, port, transport=transport, token=token,
-                   client=client, backoff=backoff,
-                   on_reconnect=on_reconnect)
-        self.client = await ServerClient.connect(host, port, transport)
-        await self.client.hello(token=token, client=client)
-        return self
-
-    async def close(self) -> None:
-        self.closed = True
-        if self.client is not None:
-            await self.client.close()
-
-    async def __aenter__(self) -> "ReconnectingClient":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    @property
-    def ended(self) -> bool:
-        """True once no more frames will ever arrive (closed, or the
-        retry budget ran out)."""
-        return self.closed or self.gave_up
-
-    def cursor(self, name: str) -> int:
-        """Last durable cursor delivered for subscription ``name``."""
-        return self._cursors.get(name, 0)
-
-    async def subscribe_durable(self, query: str, *, name: str,
-                                engine: Optional[str] = None,
-                                params: Optional[Mapping[str, Any]] = None,
-                                resume_from: Optional[int] = None,
-                                watermarks: bool = False) -> dict:
-        """Durable subscribe, remembered for automatic re-subscribe.
-
-        Without ``resume_from`` the tail starts at the server's current
-        cursor (the ack's ``cursor``); either way the wrapper tracks
-        every delivered match cursor so a reconnect resumes exactly
-        where the stream broke.
-        """
-        spec = {"query": query, "engine": engine,
-                "params": dict(params) if params else None,
-                "watermarks": watermarks}
-        ack = await self.client.subscribe_durable(
-            query, name=name, engine=engine, params=params,
-            resume_from=resume_from, watermarks=watermarks)
-        self._durable[name] = spec
-        self._cursors[name] = (resume_from if resume_from is not None
-                               else int(ack.get("cursor") or 0))
-        return ack
-
-    # pushes are NOT retried — they are not idempotent (a batch that
-    # died mid-flight may be partially ingested); only the durable
-    # *consuming* side is safe to replay, so these just delegate
-    async def push_many(self, events: list[Event]) -> dict:
-        return await self.client.push_many(events)
-
-    async def push_raw(self, objs: list[dict]) -> dict:
-        return await self.client.push_raw(objs)
-
-    async def flush(self) -> dict:
-        return await self.client.flush()
-
-    async def stats(self) -> dict:
-        return await self.client.stats()
-
-    async def next_frame(self,
-                         timeout: Optional[float] = None
-                         ) -> Optional[dict]:
-        """Like :meth:`ServerClient.next_frame`, but a dead connection
-        triggers reconnect-and-resume instead of returning ``None``.
-        ``None`` still means *timeout* (connection alive) or a final
-        give-up (``ended`` is then True)."""
-        while True:
-            frame = await self.client.next_frame(timeout)
-            if frame is not None:
-                if frame.get("type") == "match":
-                    cursor = frame.get("cursor")
-                    if cursor is not None:
-                        self._cursors[frame.get("subscription")] = cursor
+            try:
+                frame = await asyncio.wait_for(self._stream.get(), timeout)
+            except asyncio.TimeoutError:
+                return None
+            if frame is not None or self.closed or self._backoff is None:
                 return frame
-            if self.closed or not self.client.ended:
-                return None  # deliberate close, or just a timeout
-            if not await self._reconnect():
+            # ``None`` marks a connection's end; with the current one
+            # alive it is the end of an attempt _reconnect() replaced
+            if self.ended and not await self._reconnect():
                 return None
 
     async def frames(self) -> AsyncIterator[dict]:
-        """Iterate frames across reconnects until close/give-up."""
+        """Iterate streamed frames until the connection ends (for a
+        reconnecting client: until close or give-up)."""
         while True:
             frame = await self.next_frame()
             if frame is None:
@@ -423,8 +362,11 @@ class ReconnectingClient:
             yield frame
 
     async def _reconnect(self) -> bool:
-        if self.client is not None:
-            await self.client.close()
+        """Redial on the backoff schedule, then replay ``hello`` and
+        every durable subscription from its last received cursor.
+        Requests are NOT retried — a push that died mid-flight may be
+        partially ingested; only the durable *consuming* side is safe
+        to replay."""
         while not self.closed:
             try:
                 delay = self._backoff.next_delay()
@@ -433,25 +375,21 @@ class ReconnectingClient:
             await asyncio.sleep(delay)
             if self.closed:
                 break
+            await self._hangup()
             try:
-                client = await ServerClient.connect(
-                    self.host, self.port, self.transport)
+                self._start(*await self._dial(*self._address,
+                                              self.transport))
             except (ConnectionError, OSError):
                 continue  # server still down
             try:
-                await client.hello(token=self._token, client=self._label)
-                for name, spec in self._durable.items():
-                    await client.subscribe_durable(
-                        spec["query"], name=name, engine=spec["engine"],
-                        params=spec["params"],
-                        resume_from=self._cursors.get(name, 0),
-                        watermarks=spec["watermarks"])
+                await self.hello(**self._hello)
+                for name, options in list(self._durable.items()):
+                    await self._subscribe(
+                        name=name, durable=True,
+                        resume_from=self._cursors[name], **options)
             except (ConnectionError, OSError, ServerError,
                     ProtocolError, asyncio.IncompleteReadError):
-                # up but not ready (draining, WAL still recovering...)
-                await client.close()
-                continue
-            self.client = client
+                continue  # up but not ready (draining, recovering...)
             self.reconnects += 1
             self._backoff.reset()
             if self._on_reconnect is not None:

@@ -16,13 +16,18 @@ TCP or WebSocket, they differ only in framing — to a
   buckets keyed by client id, composed into a per-client
   ``on_push_many`` chain so each client's pushes spend that client's
   tokens only;
-* **subscriptions** are per-client
-  :class:`~repro.hub.aio.AsyncAttachment`\\ s named
-  ``<client_id>/<name>``, each drained by a pump task that turns
-  matches into ``match`` frames; disconnecting — gracefully or
-  abruptly — detaches every one of them
-  (:meth:`AsyncAttachment.abandon`), so the hub never leaks
-  attachments or keeps a producer suspended on a dead client's queue;
+* **subscriptions** are :class:`~repro.hub.aio.AsyncAttachment`\\ s
+  — per-client ones named ``<client_id>/<name>``, *durable* ones
+  (``subscribe`` with ``durable``/``resume_from``, needs ``wal_dir``)
+  in the shared ``durable/<name>`` namespace — each attached through
+  the hub's interception chain and drained by a pump task that turns
+  matches into ``match`` frames.  Disconnecting — gracefully or
+  abruptly — abandons every one of them
+  (:meth:`AsyncAttachment.abandon`): a per-client attachment detaches,
+  so the hub never leaks attachments or keeps a producer suspended on
+  a dead client's queue; a durable one is parked — it keeps matching
+  into the WAL, and the next subscriber of its name adopts it and
+  replays the gap by match cursor;
 * **graceful drain** (:meth:`ServerCore.shutdown`) flushes the hub via
   :meth:`AsyncStreamHub.aclose` — trailing windows emit, every pump
   delivers its remaining matches and a final ``watermark`` frame —
@@ -62,7 +67,6 @@ from repro.server.protocol import (
     event_from_wire,
     goodbye_frame,
     match_frame,
-    match_frame_wire,
     ping_frame,
     stats_frame,
     validate_request,
@@ -71,7 +75,7 @@ from repro.server.protocol import (
 
 __all__ = ["ServerConfig", "ServerBusy", "AuthError",
            "AuthAttachMiddleware", "ClientSession", "ServerCore",
-           "Connection", "DurableOutbox", "DurableSubscription"]
+           "Connection"]
 
 _CLOSE = object()  # outbox sentinel: sender task exits after this
 
@@ -161,93 +165,26 @@ class AuthAttachMiddleware(Middleware):
 
 
 class Subscription:
-    """One attachment + the pump task feeding its connection."""
+    """One attachment + the pump task feeding its connection.
+
+    A durable subscription (``attachment.durable``) also carries the
+    cursor range its pump replays from the WAL before going live:
+    ``(resume_from, cursor_start]``.
+    """
 
     __slots__ = ("name", "attachment", "task", "watermarks",
-                 "last_watermark", "matches_sent")
-
-    durable = False
+                 "last_watermark", "resume_from", "cursor_start")
 
     def __init__(self, name: str, attachment: AsyncAttachment,
-                 watermarks: bool) -> None:
+                 watermarks: bool, resume_from: Optional[int] = None,
+                 cursor_start: Optional[int] = None) -> None:
         self.name = name
         self.attachment = attachment
         self.task: Optional[asyncio.Task] = None
         self.watermarks = watermarks
         self.last_watermark = float("-inf")
-        self.matches_sent = 0
-
-
-class DurableOutbox:
-    """Sink of one durable attachment on the *inner* (sync, WAL-logged)
-    hub.  The durability middleware assigns the match's cursor and
-    appends the ``emit`` record just before sink dispatch, so reading
-    ``manager.cursor(name)`` here yields exactly this match's cursor.
-
-    At most one consumer at a time holds the outbox (its pump's
-    asyncio queue); with none connected — or one too slow to keep up —
-    matches are *not* parked: they are already durable in the WAL, and
-    a resuming consumer replays the gap from there by cursor.
-    """
-
-    __slots__ = ("name", "manager", "queue", "attachment",
-                 "delivered", "dropped")
-
-    def __init__(self, name: str, manager: DurabilityManager) -> None:
-        self.name = name
-        self.manager = manager
-        self.queue: Optional[asyncio.Queue] = None
-        self.attachment = None       # the inner sync Attachment
-        self.delivered = 0
-        self.dropped = 0
-
-    def __call__(self, match) -> None:
-        queue = self.queue
-        if queue is None:
-            return
-        cursor = self.manager.cursor(self.name)
-        try:
-            queue.put_nowait((cursor, match))
-        except asyncio.QueueFull:
-            # keep the newest: the consumer detects the cursor gap and
-            # can re-resume from the WAL
-            try:
-                queue.get_nowait()
-            except asyncio.QueueEmpty:
-                pass
-            queue.put_nowait((cursor, match))
-            self.dropped += 1
-        self.delivered += 1
-
-
-class DurableSubscription:
-    """One client's live hold on a durable attachment.
-
-    Unlike :class:`Subscription`, the attachment is *not* torn down on
-    disconnect — it survives on the inner hub (and in the WAL) and the
-    next consumer resumes from its cursor.  ``unsubscribe`` detaches it
-    for real.
-    """
-
-    __slots__ = ("name", "outbox", "task", "watermarks",
-                 "last_watermark", "matches_sent", "resume_from",
-                 "cursor_start", "last_cursor")
-
-    durable = True
-
-    def __init__(self, name: str, outbox: DurableOutbox,
-                 watermarks: bool, resume_from: Optional[int],
-                 cursor_start: int) -> None:
-        self.name = name
-        self.outbox = outbox
-        self.task: Optional[asyncio.Task] = None
-        self.watermarks = watermarks
-        self.last_watermark = float("-inf")
-        self.matches_sent = 0
         self.resume_from = resume_from
         self.cursor_start = cursor_start
-        self.last_cursor = resume_from if resume_from is not None else \
-            cursor_start
 
 
 class ClientSession:
@@ -277,7 +214,6 @@ class ClientSession:
         self.frames_out = 0
         self.events_in = 0
         self.events_shed = 0
-        self.matches_out = 0
         self.frames_dropped = 0
         # per-client ingestion chain: the shared rate limiter keyed by
         # this client's id (None when no client_rate is configured)
@@ -291,8 +227,9 @@ class ClientSession:
         ``watermark``) the configured slow-consumer policy decides what
         a full outbox means: ``block`` backpressures the pump (the
         default), ``drop_oldest`` evicts the oldest queued frame (a
-        durable consumer re-resumes the gap by cursor), ``disconnect``
-        sheds the client with a typed goodbye.
+        durable consumer sees the cursor gap and can resubscribe with
+        ``resume_from``), ``disconnect`` sheds the client with a typed
+        goodbye.
         """
         if self.closed:
             return
@@ -364,8 +301,6 @@ class ServerCore:
                 self.connection_chaos = self.chaos.connection_chaos()
         self._next_seq = 0           # auto-assigned event sequence floor
         self.durability: Optional[DurabilityManager] = None
-        self._durable_outboxes: dict[str, DurableOutbox] = {}
-        inner_hub = None
         if config.wal_dir is not None:
             # client subscriptions default non-durable: only explicit
             # durable/<name> attachments are restored after a crash
@@ -378,32 +313,22 @@ class ServerCore:
             if self.chaos is not None and config.chaos.wal_fail_rate:
                 self.durability.wal_writer_wrapper = \
                     self.chaos.wrap_wal_writer
-            inner_hub = self.durability.start(
-                slack=config.slack, queue_size=config.queue_size,
-                share=config.share, sink_provider=self._durable_sink,
-                # chaos sits outside the durability middleware so the
-                # WAL journals the post-fault stream (recovery parity)
-                middleware=[self.chaos] if self.chaos is not None
-                else ())
+        # chaos injects innermost at the facade (metrics still count
+        # the pre-fault stream) — or, under a WAL, outside the
+        # durability middleware on the inner hub, so the WAL journals
+        # the post-fault stream (recovery parity)
+        chaos = [] if self.chaos is None else [self.chaos]
+        journaled = self.durability is not None
+        self.hub = AsyncStreamHub(
+            slack=config.slack, queue_size=config.queue_size,
+            share=config.share, durability=self.durability,
+            inner_middleware=chaos if journaled else (),
+            middleware=[self.auth, self.metrics, *config.middleware,
+                        *(() if journaled else chaos)])
+        if journaled:
             self._next_seq = max(
                 int(self.durability.recovered_extra.get("next_seq", 0)),
                 self.durability.max_replayed_seq + 1)
-        facade_middleware = [self.auth, self.metrics, *config.middleware]
-        if self.chaos is not None and inner_hub is None:
-            # no WAL: inject at the async facade instead (innermost, so
-            # metrics still count the pre-fault stream)
-            facade_middleware.append(self.chaos)
-        self.hub = AsyncStreamHub(
-            slack=config.slack, queue_size=config.queue_size,
-            share=config.share, hub=inner_hub,
-            middleware=facade_middleware)
-        if self.durability is not None:
-            # bind restored durable attachments to their outboxes (the
-            # sink_provider ran before the attachment object existed)
-            for attachment in self.hub._hub.attachments:
-                outbox = self._durable_outboxes.get(attachment.name)
-                if outbox is not None:
-                    outbox.attachment = attachment
         self.clients: dict[str, ClientSession] = {}
         self.draining = False
         self.flushed = False
@@ -434,14 +359,6 @@ class ServerCore:
             "server_frames_out_total", "Response frames queued")
         self._counter_matches = reg.counter(
             "server_matches_sent_total", "Match frames queued")
-
-    def _durable_sink(self, record: dict):
-        """Recovery hook: give each restored durable attachment a fresh
-        outbox (no consumer yet; matches stay WAL-only until one
-        resumes)."""
-        outbox = DurableOutbox(record["name"], self.durability)
-        self._durable_outboxes[record["name"]] = outbox
-        return outbox
 
     # -- connection lifecycle ---------------------------------------------
 
@@ -478,6 +395,8 @@ class ServerCore:
         any producer blocked on its full queue released, ``on_detach``
         run exactly once — so 100 connect/disconnect cycles leave the
         hub with exactly as many attachments as it started with.
+        (Durable attachments are parked for their next subscriber
+        instead of detached.)
         """
         if session.closed:
             return
@@ -490,13 +409,7 @@ class ServerCore:
                     await sub.task
                 except (asyncio.CancelledError, Exception):
                     pass
-            if sub.durable:
-                # the attachment outlives the consumer: unregister the
-                # queue, keep matching (and WAL-logging) for the next
-                # resume
-                sub.outbox.queue = None
-            else:
-                await sub.attachment.abandon()
+            await sub.attachment.abandon()
         session.subscriptions.clear()
 
     def _client_push_chain(self):
@@ -659,110 +572,77 @@ class ServerCore:
 
     async def _handle_subscribe(self, session: ClientSession,
                                 frame: dict, rid) -> None:
-        if frame.get("durable") or frame.get("resume_from") is not None:
-            await self._handle_subscribe_durable(session, frame, rid)
-            return
+        """Attach one query for this client through the hub's
+        interception chain and start its pump.
+
+        A *durable* subscription (``durable`` / ``resume_from``) lives
+        under the shared ``durable/<name>`` namespace, survives
+        disconnects and server restarts, and every match carries its
+        WAL cursor.  ``resume_from: C`` first replays the logged
+        matches with cursor > C from the WAL, then hands over to the
+        live stream — exactly once by cursor."""
+        name = frame.get("name")
+        resume_from = frame.get("resume_from")
+        durable = bool(frame.get("durable")) or resume_from is not None
+        cursor_start = None
+        if durable:
+            if self.durability is None:
+                raise ProtocolError(
+                    "bad_query", "durable subscriptions need a server WAL "
+                                 "directory (serve --wal DIR)")
+            if not name:
+                raise ProtocolError(
+                    "bad_query", "durable subscriptions need an explicit "
+                                 "'name' (it is the resume key)")
+            full_name = f"durable/{name}"
+            if any(held.name == full_name and not held.parked
+                   for held in self.hub.attachments):
+                raise ProtocolError(
+                    "limit", f"durable subscription {name!r} already has "
+                             f"a consumer")
+            floor = self.durability.resume_floor(full_name)
+            if resume_from is not None and resume_from < floor:
+                raise ProtocolError(
+                    "unknown",
+                    f"resume_from={resume_from} is below the WAL GC "
+                    f"horizon (cursor {floor}); resume from {floor} or "
+                    f"later")
+            cursor_start = self.durability.cursor(full_name)
+        else:
+            name = name or session.next_subscription_name()
+            full_name = f"{session.client_id}/{name}"
         if len(session.subscriptions) >= self.config.max_subscriptions:
-            await session.send(error_frame(
+            raise ProtocolError(
                 "limit", f"client is at max_subscriptions="
-                         f"{self.config.max_subscriptions}", rid))
-            return
-        name = frame.get("name") or session.next_subscription_name()
+                         f"{self.config.max_subscriptions}")
         if name in session.subscriptions:
-            await session.send(error_frame(
-                "limit", f"subscription {name!r} already exists", rid))
-            return
-        full_name = f"{session.client_id}/{name}"
-        engine = frame.get("engine") or self.config.engine
+            raise ProtocolError(
+                "limit", f"subscription {name!r} already exists")
         self._attaching_client = session
         try:
+            # no await from the cursor read above to the end of the
+            # attach: every later match is queued with cursor >
+            # cursor_start, so the WAL replay up to cursor_start + the
+            # queue is gapless and duplicate-free
             attachment = self.hub.attach(
-                frame["query"], engine=engine, name=full_name,
+                frame["query"], name=full_name, durable=durable,
+                engine=frame.get("engine") or self.config.engine,
                 params=frame.get("params"))
-        except AuthError:
-            raise
         except (ValueError, KeyError, TypeError, SyntaxError) as error:
             raise ProtocolError(
                 "bad_query", f"subscribe failed: {error}") from None
         finally:
             self._attaching_client = None
         sub = Subscription(name, attachment,
-                           bool(frame.get("watermarks")))
+                           bool(frame.get("watermarks")),
+                           resume_from, cursor_start)
         session.subscriptions[name] = sub
         sub.task = asyncio.ensure_future(self._pump(session, sub))
+        extra = {"durable": True, "cursor": cursor_start} if durable \
+            else {"query": attachment.query.name}
         await session.send(ack_frame(
-            "subscribe", rid, subscription=name,
-            query=attachment.query.name, engine=engine))
-
-    async def _handle_subscribe_durable(self, session: ClientSession,
-                                        frame: dict, rid) -> None:
-        """Durable subscription: the attachment lives on the *inner*
-        (WAL-logged) hub under the shared ``durable/<name>`` namespace,
-        survives disconnects and server restarts, and every emitted
-        match carries its durable cursor.  ``resume_from: C`` first
-        replays the logged matches with cursor > C from the WAL, then
-        hands over to the live stream — exactly once by cursor."""
-        if self.durability is None:
-            raise ProtocolError(
-                "bad_query", "durable subscriptions need a server WAL "
-                             "directory (serve --wal DIR)")
-        name = frame.get("name")
-        if not name:
-            raise ProtocolError(
-                "bad_query", "durable subscriptions need an explicit "
-                             "'name' (it is the resume key)")
-        if name in session.subscriptions:
-            raise ProtocolError(
-                "limit", f"subscription {name!r} already exists")
-        if len(session.subscriptions) >= self.config.max_subscriptions:
-            raise ProtocolError(
-                "limit", f"client is at max_subscriptions="
-                         f"{self.config.max_subscriptions}")
-        if not session.authenticated:
-            raise AuthError(
-                f"client {session.client_id} is not authenticated")
-        full_name = f"durable/{name}"
-        outbox = self._durable_outboxes.get(full_name)
-        if outbox is None:
-            outbox = DurableOutbox(full_name, self.durability)
-            engine = frame.get("engine") or self.config.engine
-            self.durability.set_durable(True)
-            try:
-                outbox.attachment = self.hub._hub.attach(
-                    frame["query"], engine=engine, name=full_name,
-                    params=frame.get("params"), sink=outbox)
-            except (ValueError, KeyError, TypeError, SyntaxError) as error:
-                raise ProtocolError(
-                    "bad_query", f"subscribe failed: {error}") from None
-            self._durable_outboxes[full_name] = outbox
-        elif outbox.queue is not None:
-            raise ProtocolError(
-                "limit", f"durable subscription {name!r} already has a "
-                         f"consumer")
-        resume_from = frame.get("resume_from")
-        if resume_from is not None:
-            floor = self.durability.resume_floor(full_name)
-            if resume_from < floor:
-                raise ProtocolError(
-                    "unknown",
-                    f"resume_from={resume_from} is below the WAL GC "
-                    f"horizon (cursor {floor}); resume from {floor} or "
-                    f"later")
-        cursor_start = self.durability.cursor(full_name)
-        # register before any await: every match from here on lands in
-        # the queue with cursor > cursor_start, so WAL replay up to
-        # cursor_start + the queue is gapless and duplicate-free
-        outbox.queue = asyncio.Queue(maxsize=self.config.queue_size)
-        sub = DurableSubscription(name, outbox,
-                                  bool(frame.get("watermarks")),
-                                  resume_from, cursor_start)
-        session.subscriptions[name] = sub
-        sub.task = asyncio.ensure_future(self._pump_durable(session, sub))
-        await session.send(ack_frame(
-            "subscribe", rid, subscription=name, durable=True,
-            cursor=cursor_start,
-            engine=outbox.attachment.engine if outbox.attachment
-            else None))
+            "subscribe", rid, subscription=name, **extra,
+            engine=attachment.inner.engine))
 
     async def _handle_unsubscribe(self, session: ClientSession,
                                   frame: dict, rid) -> None:
@@ -772,26 +652,9 @@ class ServerCore:
                 "unknown", f"no subscription "
                            f"{frame['subscription']!r}", rid))
             return
-        if sub.durable:
-            # durable unsubscribe is the real teardown: detach on the
-            # inner hub (drain flushes trailing windows through the
-            # outbox, WAL-logged), end the pump, drop the outbox
-            outbox = sub.outbox
-            matches = []
-            if outbox.attachment is not None:
-                matches = outbox.attachment.detach(drain=True)
-            if outbox.queue is not None:
-                outbox.queue.put_nowait(None)
-            if sub.task is not None:
-                await sub.task
-            outbox.queue = None
-            self._durable_outboxes.pop(outbox.name, None)
-            await session.send(ack_frame(
-                "unsubscribe", rid, subscription=sub.name,
-                matches_flushed=len(matches)))
-            return
-        # graceful: trailing windows flush, the pump delivers them and
-        # the final watermark, then we ack
+        # graceful (and, for a durable subscription, the real teardown:
+        # WAL-logged detach, name reusable): trailing windows flush,
+        # the pump delivers them and the final watermark, then we ack
         matches = await sub.attachment.detach()
         if sub.task is not None:
             await sub.task
@@ -855,13 +718,8 @@ class ServerCore:
         self.flushed = True
         delivered = await self.hub.flush()
         if self.durability is not None:
-            # flush is end-of-stream: checkpoint the flushed state and
-            # end the durable pumps (their trailing matches are queued
-            # ahead of the sentinel) so consumers see a final watermark
+            # flush is end-of-stream: checkpoint the flushed state
             self.durability.checkpoint()
-            for outbox in self._durable_outboxes.values():
-                if outbox.queue is not None:
-                    outbox.queue.put_nowait(None)
         await self._emit_watermarks(final=False)
         await session.send(ack_frame("flush", rid, delivered=delivered))
 
@@ -875,63 +733,30 @@ class ServerCore:
                     sub: Subscription) -> None:
         """Move one subscription's matches onto its connection; ends
         when the attachment's iteration ends (flush/detach), closing
-        with a final ``watermark`` frame."""
-        try:
-            async for match in sub.attachment:
-                sub.matches_sent += 1
-                session.matches_out += 1
-                self._counter_matches.inc()
-                await session.send(match_frame(sub.name, match))
-            await session.send(watermark_frame(
-                sub.name, sub.attachment.watermark, final=True))
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
-            pass  # connection torn down mid-send; disconnect() cleans up
+        with a final ``watermark`` frame.
 
-    async def _pump_durable(self, session: ClientSession,
-                            sub: DurableSubscription) -> None:
-        """Deliver one durable subscription: first the WAL-replayed
-        resume range ``(resume_from, cursor_start]``, then the live
-        queue, skipping anything at or below the last sent cursor (the
-        two can overlap by at most the registration instant).  Ends on
-        unsubscribe/shutdown (``None`` sentinel) with a final
-        watermark frame."""
-        outbox = sub.outbox
+        A durable subscription first replays its resume range
+        ``(resume_from, cursor_start]`` from the WAL, then goes live,
+        skipping what the queue holds at or below ``cursor_start``
+        (matches that were staged but not yet dispatched when the
+        subscriber attached — the replay covered them)."""
+        attachment = sub.attachment
+
+        async def send(match, cursor) -> None:
+            self._counter_matches.inc()
+            await session.send(match_frame(sub.name, match, cursor))
+
         try:
             if sub.resume_from is not None:
                 for cursor, wire in self.durability.read_emits(
-                        outbox.name, after=sub.resume_from,
+                        attachment.name, after=sub.resume_from,
                         upto=sub.cursor_start):
-                    sub.matches_sent += 1
-                    session.matches_out += 1
-                    self._counter_matches.inc()
-                    sub.last_cursor = cursor
-                    await session.send(match_frame_wire(
-                        sub.name, wire, cursor=cursor))
-            while True:
-                queue = outbox.queue
-                if queue is None:
-                    return
-                item = await queue.get()
-                if item is None:
-                    break
-                cursor, match = item
-                if cursor <= sub.last_cursor:
-                    continue
-                sub.matches_sent += 1
-                session.matches_out += 1
-                self._counter_matches.inc()
-                sub.last_cursor = cursor
-                await session.send(match_frame(sub.name, match,
-                                               cursor=cursor))
+                    await send(wire, cursor)
+            async for cursor, match in attachment.cursored():
+                if cursor is None or cursor > sub.cursor_start:
+                    await send(match, cursor)
             await session.send(watermark_frame(
-                sub.name,
-                outbox.attachment.watermark
-                if outbox.attachment is not None else float("-inf"),
-                final=True))
-        except asyncio.CancelledError:
-            raise
+                sub.name, attachment.watermark, final=True))
         except (ConnectionError, OSError):
             pass  # connection torn down mid-send; disconnect() cleans up
 
@@ -963,7 +788,8 @@ class ServerCore:
             "events_shed": 0 if self.ratelimit is None
             else self.ratelimit.shed_total,
             "auth_refused": self.auth.refused_total,
-            "durable_subscriptions": len(self._durable_outboxes),
+            "durable_subscriptions": sum(
+                a.durable for a in self.hub.attachments),
             "heartbeats_sent": self.heartbeats_sent,
             "clients_reaped": self.clients_reaped,
             "slow_disconnects": self.slow_disconnects,
@@ -1013,12 +839,7 @@ class ServerCore:
             self.hub.abort()
         self.flushed = True
         if self.durability is not None:
-            # the flush's trailing matches are in the queues; end the
-            # durable pumps, then persist the flushed state so a
-            # restart resumes instantly
-            for outbox in self._durable_outboxes.values():
-                if outbox.queue is not None:
-                    outbox.queue.put_nowait(None)
+            # persist the flushed state so a restart resumes instantly
             try:
                 self.durability.close(checkpoint=True)
             except Exception:

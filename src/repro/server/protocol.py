@@ -17,6 +17,11 @@ Request frames (client → server)
                 ``engine``, ``params`` mapping, ``watermarks`` flag.
                 Acked with the subscription name; ``match`` frames for
                 it stream until ``unsubscribe``/flush/disconnect.
+                ``durable: true`` (needs ``name`` and a server WAL)
+                keeps the attachment across disconnects and restarts
+                and acks the current match ``cursor``;
+                ``resume_from: C`` first replays the logged matches
+                with cursor > C.
 ``unsubscribe`` ``subscription`` name.  Trailing windows flush first
                 (their matches still arrive), then a final
                 ``watermark`` frame, then the ack.
@@ -37,8 +42,10 @@ Response frames (server → client)
 ``ack``         ``op`` names the acked request; echoes ``id``; may
                 carry op-specific fields (``client_id``,
                 ``subscription``, ``count``, ``accepted``, ...).
-``match``       One complex event: ``subscription``, ``query``,
-                ``window``, ``seqs``, ``etypes``, ``attributes``.
+``match``       One complex event: ``subscription`` + ``match``
+                (``query``, ``window``, ``seqs``, ``etypes``,
+                ``attributes``); on durable subscriptions also its
+                ``cursor`` (contiguous from 1 per subscription name).
 ``error``       ``code`` (see :data:`ERROR_CODES`) + ``message``;
                 echoes ``id`` when the offending request carried one.
 ``watermark``   ``subscription`` + ``watermark``; ``final: true`` marks
@@ -88,7 +95,6 @@ __all__ = [
     "ack_frame",
     "error_frame",
     "match_frame",
-    "match_frame_wire",
     "watermark_frame",
     "goodbye_frame",
     "ping_frame",
@@ -247,25 +253,14 @@ def error_frame(code: str, message: str, rid=None) -> dict:
                     rid)
 
 
-def match_frame(subscription: str, match: ComplexEvent,
+def match_frame(subscription: str, match: ComplexEvent | dict,
                 cursor: Optional[int] = None) -> dict:
+    """A ``match`` frame from a live :class:`ComplexEvent` or from its
+    already-encoded wire form (a durable resume re-frames the matches
+    stored in the WAL without rebuilding the objects)."""
     frame = {"type": "match", "subscription": subscription,
-             "match": match_to_wire(match)}
-    if cursor is not None:
-        frame["cursor"] = cursor
-    return frame
-
-
-def match_frame_wire(subscription: str, wire: dict,
-                     cursor: Optional[int] = None) -> dict:
-    """A ``match`` frame from an already-encoded wire match (the resume
-    path re-frames matches stored in the WAL without reconstructing
-    :class:`ComplexEvent` objects); any extended-form embedded
-    ``events`` are stripped to keep resumed frames shaped like live
-    ones."""
-    wire = {k: v for k, v in wire.items() if k != "events"}
-    frame = {"type": "match", "subscription": subscription,
-             "match": wire}
+             "match": match if isinstance(match, dict)
+             else match_to_wire(match)}
     if cursor is not None:
         frame["cursor"] = cursor
     return frame

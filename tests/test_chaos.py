@@ -25,7 +25,7 @@ from repro.resilience import (
     effective_stream,
 )
 from repro.server import ServerConfig
-from repro.server.client import ReconnectingClient, ServerClient
+from repro.server.client import ServerClient
 from repro.server.runner import ServeRuntime
 
 BAND_TEXT = """PATTERN (A B)
@@ -334,9 +334,9 @@ def test_connection_resets_never_cost_a_durable_subscriber(tmp_path):
             ChaosConfig(seed=9, reset_after=17), wal=tmp_path)
         port = runtime.tcp.port
         from repro.resilience import Backoff
-        tail = await ReconnectingClient.connect(
+        tail = await ServerClient.connect(
             "127.0.0.1", port,
-            backoff=Backoff(initial=0.05, max_delay=0.2, seed=2))
+            reconnect=Backoff(initial=0.05, max_delay=0.2, seed=2))
         frames = []
         retries = 0
         pusher = None
@@ -363,6 +363,7 @@ def test_connection_resets_never_cost_a_durable_subscriber(tmp_path):
                     pusher = None
 
         try:
+            await tail.hello()
             await tail.subscribe_durable(BAND_TEXT, name="band",
                                          params=PARAMS)
             for start in range(0, len(EVENTS), 40):

@@ -1,7 +1,7 @@
 """Recovery half of the resilience layer: the deterministic Backoff
-schedule and ReconnectingClient's reconnect-and-resume — including the
+schedule and ServerClient's reconnect-and-resume — including the
 acceptance scenario: SIGKILL a ``repro serve --wal`` subprocess while a
-ReconnectingClient tails a durable subscription, restart the server,
+reconnecting ServerClient tails a durable subscription, restart the server,
 and the client resumes gaplessly with no manual ``--resume-from``."""
 
 import asyncio
@@ -19,7 +19,7 @@ from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
 from repro.resilience import Backoff
 from repro.server import ServerConfig
-from repro.server.client import ReconnectingClient, ServerClient
+from repro.server.client import ServerClient
 from repro.server.runner import ServeRuntime
 
 BAND_TEXT = """PATTERN (A B)
@@ -82,7 +82,7 @@ def test_backoff_validation():
         Backoff(jitter=1.0)
 
 
-# -- ReconnectingClient ----------------------------------------------------
+# -- ServerClient(reconnect=Backoff) ---------------------------------------
 
 async def start_runtime(wal, port=0):
     config = ServerConfig(engine="sequential", wal_dir=str(wal),
@@ -100,11 +100,12 @@ def test_reconnecting_client_resumes_across_graceful_restart(tmp_path):
     async def scenario():
         runtime = await start_runtime(tmp_path)
         port = runtime.tcp.port
-        client = await ReconnectingClient.connect(
+        client = await ServerClient.connect(
             "127.0.0.1", port,
-            backoff=Backoff(initial=0.05, max_delay=0.3, seed=1))
+            reconnect=Backoff(initial=0.05, max_delay=0.3, seed=1))
         cursors = []
         try:
+            await client.hello()
             await client.subscribe_durable(BAND_TEXT, name="band",
                                            params=PARAMS)
             async with await ServerClient.connect("127.0.0.1",
@@ -148,10 +149,11 @@ def test_reconnecting_client_gives_up_after_budget(tmp_path):
     async def scenario():
         runtime = await start_runtime(tmp_path)
         port = runtime.tcp.port
-        client = await ReconnectingClient.connect(
+        client = await ServerClient.connect(
             "127.0.0.1", port,
-            backoff=Backoff(initial=0.01, max_delay=0.02, max_retries=3,
-                            jitter=0.0))
+            reconnect=Backoff(initial=0.01, max_delay=0.02, max_retries=3,
+                              jitter=0.0))
+        await client.hello()
         await client.subscribe_durable(BAND_TEXT, name="band",
                                        params=PARAMS)
         await runtime.shutdown("gone-for-good")
@@ -194,9 +196,9 @@ def test_sigkill_restart_reconnecting_client_is_gapless(tmp_path):
     frames = []
 
     async def scenario():
-        client = await ReconnectingClient.connect(
+        client = await ServerClient.connect(
             "127.0.0.1", port,
-            backoff=Backoff(initial=0.1, max_delay=0.5, seed=3))
+            reconnect=Backoff(initial=0.1, max_delay=0.5, seed=3))
 
         async def drain(timeout):
             while True:
@@ -210,6 +212,7 @@ def test_sigkill_restart_reconnecting_client_is_gapless(tmp_path):
                     return True
 
         try:
+            await client.hello()
             await client.subscribe_durable(BAND_TEXT, name="band",
                                            params=PARAMS)
             await client.push_many(EVENTS[:600])

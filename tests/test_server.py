@@ -463,6 +463,24 @@ class TestGracefulDrain:
 
         run_async(scenario())
 
+    def test_request_on_ended_connection_raises(self):
+        """Once the read loop has ended nobody can resolve a reply: a
+        request must fail fast instead of parking a future forever."""
+        async def scenario():
+            async with serve() as (core, tcp, ws):
+                client = await ServerClient.connect("127.0.0.1",
+                                                    tcp.port)
+                await client.hello()
+                await core.shutdown("gone")
+                while await client.next_frame(timeout=5.0) is not None:
+                    pass  # final frames, then the connection's end
+                assert client.ended
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.ping(), timeout=5.0)
+                await client.close()
+
+        run_async(scenario())
+
     def test_shutdown_idempotent(self):
         async def scenario():
             async with serve() as (core, tcp, ws):

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import generate_nyse, save_events_csv
+from repro.durability.wal import iter_records
 from repro.hub import StreamHub
+from repro.middleware import Middleware
 from repro.patterns.parser import parse_query
 from repro.server import ServerConfig
 from repro.server.client import ServerClient, ServerError
@@ -131,8 +133,10 @@ def test_durable_survives_restart_and_resumes_gapless(tmp_path):
         try:
             core = runtime.core
             assert core.durability.recovery_report.recovered
-            assert "durable/band" in [
-                a.name for a in core.hub._hub.attachments]
+            # restored parked: visible on the facade before any consumer
+            assert [(a.name, a.durable, a.parked)
+                    for a in core.hub.attachments] == \
+                [("durable/band", True, True)]
             async with await ServerClient.connect(
                     "127.0.0.1", runtime.tcp.port) as client:
                 await client.hello()
@@ -189,6 +193,30 @@ def test_durable_requires_wal_and_name(tmp_path):
     asyncio.run(scenario())
 
 
+def test_refused_durable_subscribe_leaves_no_durable_latch(tmp_path):
+    """A durable subscribe whose query does not parse must not make the
+    *next* attachment (a plain one) restorable."""
+
+    async def scenario():
+        runtime = await start_runtime(tmp_path)
+        try:
+            async with await ServerClient.connect(
+                    "127.0.0.1", runtime.tcp.port) as client:
+                await client.hello()
+                with pytest.raises(ServerError, match="subscribe failed"):
+                    await client.subscribe_durable("PATTERN (", name="x")
+                await client.subscribe(BAND_TEXT, name="plain",
+                                       params=PARAMS)
+        finally:
+            await runtime.shutdown("test-teardown")
+
+    asyncio.run(scenario())
+    attached = {record["name"]: record["durable"]
+                for _segment, record in iter_records(tmp_path)
+                if record["t"] == "attach"}
+    assert attached == {"c1/plain": False}
+
+
 def test_durable_unsubscribe_detaches_for_real(tmp_path):
     async def scenario():
         runtime = await start_runtime(tmp_path)
@@ -202,9 +230,117 @@ def test_durable_unsubscribe_detaches_for_real(tmp_path):
                 await client.push_many(EVENTS[:100])
                 ack = await client.unsubscribe("band")
                 assert ack["op"] == "unsubscribe"
-            assert not core._durable_outboxes
-            assert "durable/band" not in [
-                a.name for a in core.hub._hub.attachments]
+            assert core.server_stats()["durable_subscriptions"] == 0
+            assert core.hub.attachments == ()
+            assert core.hub.stats().attachments_live == 0
+        finally:
+            await runtime.shutdown("test-teardown")
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_small_queue_backpressures_every_subscription_kind(tmp_path,
+                                                           durable):
+    """One ``push_many`` whose matches overflow an 8-slot attachment
+    queue five times over: a durable subscription with a connected
+    consumer backpressures exactly like a plain one — every match, in
+    oracle order, the durable cursors contiguous from 1."""
+
+    async def scenario():
+        config = ServerConfig(engine="sequential", wal_dir=str(tmp_path),
+                              queue_size=8)
+        runtime = ServeRuntime(config, tcp=("127.0.0.1", 0), quiet=True)
+        await runtime.start()
+        try:
+            async with await ServerClient.connect(
+                    "127.0.0.1", runtime.tcp.port) as client:
+                await client.hello()
+                await client.subscribe(BAND_TEXT, name="band",
+                                       params=PARAMS, durable=durable)
+                await client.push_many(EVENTS)
+                await client.flush()
+                return await drain_matches(client, timeout=5.0)
+        finally:
+            await runtime.shutdown("test-teardown")
+
+    frames = asyncio.run(scenario())
+    expected = reference_seqs()
+    assert len(expected) > 5 * 8
+    assert [frame["match"]["seqs"] for frame in frames] == expected
+    assert [frame.get("cursor") for frame in frames] == [
+        index + 1 if durable else None for index in range(len(expected))]
+
+
+class RecordingMiddleware(Middleware):
+    def __init__(self):
+        self.attached = []
+        self.matched = []
+
+    def on_attach(self, context, call_next):
+        self.attached.append(context.name)
+        return call_next(context)
+
+    def on_match(self, context, call_next):
+        self.matched.append((context.attachment.name, context.cursor))
+        return call_next(context)
+
+
+def test_durable_subscriptions_ride_the_interception_chain(tmp_path):
+    """Durable subscriptions attach through the same chain as plain
+    ones: the metrics middleware counts their matches, user middleware
+    sees their attach and every match, the parked attachment stays
+    visible on the facade, and the auth refusal is the middleware's."""
+    recording = RecordingMiddleware()
+
+    async def scenario():
+        config = ServerConfig(engine="sequential", wal_dir=str(tmp_path),
+                              auth_token="s3", middleware=(recording,))
+        runtime = ServeRuntime(config, tcp=("127.0.0.1", 0), quiet=True)
+        await runtime.start()
+        core = runtime.core
+        try:
+            async with await ServerClient.connect(
+                    "127.0.0.1", runtime.tcp.port) as client:
+                await client.hello(token="s3")
+                await client.subscribe_durable(BAND_TEXT, name="band",
+                                               params=PARAMS)
+                await client.push_many(EVENTS)
+                await client.flush()
+                frames = await drain_matches(client, timeout=5.0)
+            total = len(reference_seqs())
+            assert len(frames) == total
+            assert recording.attached == ["durable/band"]
+            assert recording.matched == [
+                ("durable/band", cursor) for cursor in range(1, total + 1)]
+            assert f'repro_matches_total{{scope="durable/band"}} {total}' \
+                in core.render_metrics()
+            # the consumer is gone, the attachment is not
+            for _ in range(100):
+                if core.hub.attachments[0].parked:
+                    break
+                await asyncio.sleep(0.01)
+            assert [(a.name, a.durable, a.parked)
+                    for a in core.hub.attachments] == \
+                [("durable/band", True, True)]
+
+            # a session that was greeted without authenticating (no
+            # wire path produces one: this is the "whatever code path
+            # tries" case) can neither create nor adopt a durable name
+            session = core.connect("test", "tcp")
+            session.greeted = True
+            for name in ("other", "band"):
+                alive = await core.handle_frame(
+                    session, {"type": "subscribe", "query": BAND_TEXT,
+                              "params": PARAMS, "name": name,
+                              "durable": True})
+                assert not alive
+                assert session.outbox.get_nowait()["code"] == \
+                    "unauthorized"
+            assert core.auth.refused_total == 2
+            assert [(a.name, a.parked) for a in core.hub.attachments] \
+                == [("durable/band", True)]
+            await core.disconnect(session)
         finally:
             await runtime.shutdown("test-teardown")
 

@@ -403,7 +403,8 @@ def cmd_serve_network(args: argparse.Namespace) -> int:
         if report is not None and report.recovered:
             print(f"durability: recovered segment "
                   f"{report.snapshot_segment}, replayed "
-                  f"{report.replayed_events} events, restored "
+                  f"{report.replayed_events} events in "
+                  f"{report.replay_seconds:.3f} s, restored "
                   f"{len(report.restored_attachments)} durable "
                   f"attachments", flush=True)
     try:
@@ -499,7 +500,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if report is not None and report.recovered:
             print(f"durability: recovered segment "
                   f"{report.snapshot_segment}, replayed "
-                  f"{report.replayed_events} events, suppressed "
+                  f"{report.replayed_events} events in "
+                  f"{report.replay_seconds:.3f} s, suppressed "
                   f"{report.suppressed_matches} already-delivered "
                   f"matches", flush=True)
     else:

@@ -87,6 +87,10 @@ class RecoveryReport:
     snapshot_segment: Optional[int] = None
     segments_replayed: int = 0
     replayed_events: int = 0
+    # wall time of decoding the WAL tail and replaying the snapshot
+    # suffix + the tail (hub construction and the closing checkpoint
+    # not included)
+    replay_seconds: float = 0.0
     suppressed_matches: int = 0
     residual_debt: int = 0        # pre-crash emits replay could not
     #                               regenerate (closed pre-cut windows)
@@ -100,6 +104,10 @@ class RecoveryReport:
             "snapshot_segment": self.snapshot_segment,
             "segments_replayed": self.segments_replayed,
             "replayed_events": self.replayed_events,
+            "replay_seconds": self.replay_seconds,
+            "replay_events_per_s":
+                self.replayed_events / self.replay_seconds
+                if self.replay_seconds > 0 else 0.0,
             "suppressed_matches": self.suppressed_matches,
             "residual_debt": self.residual_debt,
             "torn_segments": list(self.torn_segments),
@@ -468,9 +476,16 @@ class DurabilityManager:
         existing = list_segments(self.directory)
         last_existing = existing[-1][0] if existing else 0
         report.snapshot_segment = snapshot_segment
+        # each tail segment is read, CRC-checked and decoded once; the
+        # same records feed the hub configuration (without a snapshot),
+        # the debt pre-scan and the replay
+        decode_started = time.perf_counter()
+        tail = [(index, read_wal(path)) for index, path in existing
+                if index > (snapshot_segment or 0)]
+        decode_seconds = time.perf_counter() - decode_started
 
         config = hub_config(body) if body is not None \
-            else self._segment_config(existing, fallback_config)
+            else self._segment_config(tail, fallback_config)
         hub = self._make_hub(config, middleware)
 
         # open the post-recovery segment *before* replaying: novel
@@ -479,15 +494,17 @@ class DurabilityManager:
         self._segment = max(last_existing, snapshot_segment or 0) + 1
         self._open_segment()
         self._recovering = True
+        replay_started = time.perf_counter()
         try:
             if body is not None:
                 self._restore_snapshot(body, restore_filter,
                                        sink_provider, report)
-            tail_after = snapshot_segment or 0
-            self._collect_debt(tail_after, last_existing)
-            self._replay_tail(tail_after, last_existing, hub,
-                              restore_filter, sink_provider, report)
+            self._collect_debt(tail)
+            self._replay_tail(tail, hub, restore_filter, sink_provider,
+                              report)
         finally:
+            report.replay_seconds = decode_seconds + \
+                (time.perf_counter() - replay_started)
             self._recovering = False
             for attachment in hub._attachments:
                 attachment._replay_skip = None
@@ -508,15 +525,15 @@ class DurabilityManager:
                 continue  # torn/corrupt snapshot: fall back one
         return None, None
 
-    def _segment_config(self, existing: list,
-                        fallback: dict) -> dict:
-        for _index, path in existing:
-            for record in read_wal(path).records:
+    def _segment_config(self, tail: list, fallback: dict) -> dict:
+        """Without a snapshot the hub configuration is the first
+        segment's ``meta`` record (the tail is then every segment)."""
+        for _index, result in tail[:1]:
+            for record in result.records:
                 if record.get("t") == "meta" and "hub" in record:
                     merged = dict(fallback)
                     merged.update(record["hub"])
                     return merged
-            break
         return dict(fallback)
 
     def _restore_snapshot(self, body: dict, restore_filter,
@@ -600,31 +617,30 @@ class DurabilityManager:
             attachment._admit_floor = int(floor)
         return attachment
 
-    def _collect_debt(self, after_segment: int,
-                      last_segment: int) -> None:
+    def _collect_debt(self, tail: list) -> None:
         """Pre-scan the tail's emit records: every match the crashed
         run delivered after the snapshot joins the suppression multiset
         (replay will regenerate it) and advances its cursor floor."""
-        for index, record in iter_records(self.directory, after_segment):
-            if index > last_segment or record.get("t") != "emit":
-                continue
-            name = record.get("a")
-            wire = record.get("m") or {}
-            key = tuple(wire.get("seqs") or ())
-            self._debt.setdefault(name, Counter())[key] += 1
-            self._emitted.setdefault(name, Counter())[key] += 1
-            cursor = int(record.get("c", 0))
-            if cursor > self._cursors.get(name, 0):
-                self._cursors[name] = cursor
+        for _index, result in tail:
+            for record in result.records:
+                if record.get("t") != "emit":
+                    continue
+                name = record.get("a")
+                wire = record.get("m") or {}
+                key = tuple(wire.get("seqs") or ())
+                self._debt.setdefault(name, Counter())[key] += 1
+                self._emitted.setdefault(name, Counter())[key] += 1
+                cursor = int(record.get("c", 0))
+                if cursor > self._cursors.get(name, 0):
+                    self._cursors[name] = cursor
 
-    def _replay_tail(self, after_segment: int, last_segment: int,
-                     hub: StreamHub, restore_filter, sink_provider,
-                     report: RecoveryReport) -> None:
-        current = None
-        for index, path in list_segments(self.directory):
-            if index <= after_segment or index > last_segment:
-                continue
-            result = read_wal(path)
+    def _replay_tail(self, tail: list, hub: StreamHub, restore_filter,
+                     sink_provider, report: RecoveryReport) -> None:
+        """Replay the decoded tail in log order; each ``push`` record
+        re-enters the hub as the one batch it was logged as.  ``tail``
+        is consumed: a segment's records are released once replayed."""
+        while tail:
+            index, result = tail.pop(0)
             if result.torn:
                 report.torn_segments.append(index)
             report.segments_replayed += 1
@@ -633,9 +649,9 @@ class DurabilityManager:
                 if rtype == "push":
                     events = [unpack_event(obj)
                               for obj in record.get("events", [])]
-                    for event in events:
-                        if event.seq > self.max_replayed_seq:
-                            self.max_replayed_seq = event.seq
+                    self.max_replayed_seq = max(
+                        self.max_replayed_seq,
+                        max((event.seq for event in events), default=-1))
                     hub.ingest_replay(events)
                     report.replayed_events += len(events)
                 elif rtype == "attach":
@@ -662,8 +678,6 @@ class DurabilityManager:
                 elif rtype == "flush":
                     if not hub._flushed:
                         hub._flush_raw()
-            current = index
-        del current
 
     # -- resume / observability --------------------------------------------
 

@@ -37,22 +37,32 @@ class EventStream:
         # last appended order key, kept separately so the order check
         # survives trim() emptying the retained buffer
         self._last_key: tuple[float, int] | None = None
-        for event in events:
-            self.append(event)
+        self.extend(events)
 
     def append(self, event: Event) -> None:
         """Append ``event``, enforcing the global order."""
-        if self._last_key is not None and event.order_key < self._last_key:
-            raise StreamOrderError(
-                f"event {event!r} (key {event.order_key}) arrives after "
-                f"key {self._last_key}"
-            )
-        self._last_key = event.order_key
-        self._events.append(event)
+        self.extend((event,))
 
     def extend(self, events: Iterable[Event]) -> None:
+        """Append a batch, enforcing the global order on every event.
+
+        Equivalent to :meth:`append` per event: an out-of-order event
+        raises :class:`StreamOrderError` with the ordered prefix before
+        it appended and the offender and everything after it not.
+        """
+        last = self._last_key
+        append = self._events.append
         for event in events:
-            self.append(event)
+            key = (event.timestamp, event.seq)  # event.order_key, inlined
+            if last is not None and key < last:
+                self._last_key = last
+                raise StreamOrderError(
+                    f"event {event!r} (key {key}) arrives after "
+                    f"key {last}"
+                )
+            append(event)
+            last = key
+        self._last_key = last
 
     def __len__(self) -> int:
         """Total number of events ever appended (= next global position)."""

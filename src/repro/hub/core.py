@@ -285,31 +285,9 @@ class Attachment:
             self._member.group.admit(self._member, position)
         return True
 
-    def _offer(self, event: Event, position: int) -> int:
-        if not self._live:
-            if not self._begin_admission(event, position):
-                return 0
-        if self._replay_skip is not None and \
-                event.seq in self._replay_skip:
-            return 0  # consumed pre-crash; the ledger already spent it
-        if self._member is not None:
-            # the SharedGroup ingests this event once for every member
-            self.events_delivered += 1
-            self.events_offered += 1
-            return 0
-        types = self._routed_types
-        if types is not None and event.etype not in types:
-            self.events_skipped_by_index += 1
-            return 0
-        self.events_delivered += 1
-        self.events_offered += 1
-        matches = self.session.push(event)
-        self._enqueue(matches)
-        return len(matches)
-
     def _offer_many(self, events: list[Event], first_position: int) -> int:
-        """Batch fan-out: admit (if pending) and deliver a whole released
-        chunk through the session's ``push_many``."""
+        """Fan-out of a released chunk: admit (if pending), then deliver
+        from the admission point on."""
         if not self._live:
             for index, event in enumerate(events):
                 if self._begin_admission(event, first_position + index):
@@ -318,24 +296,27 @@ class Attachment:
                     break
             else:
                 return 0
-        count = len(events)
-        self.events_delivered += count
-        self.events_offered += count
-        if self._member is not None:
-            return 0  # the SharedGroup ingests the chunk once for everyone
-        matches = self.session.push_many(events)
-        self._enqueue(matches)
-        return len(matches)
+        return self._deliver(events)
 
     def _offer_routed(self, events: list[Event], total: int) -> int:
         """Fan-out for a live routed attachment: the hub's type index
         already classified the chunk; ``events`` is the interested
         subset, ``total`` the full released-chunk size."""
         self.events_skipped_by_index += total - len(events)
+        return self._deliver(events)
+
+    def _deliver(self, events: list[Event]) -> int:
+        """Hand admitted events to the session as one ``push_many``."""
+        skip = self._replay_skip
+        if skip is not None:
+            # consumed pre-crash: the restored ledger already spent them
+            events = [event for event in events if event.seq not in skip]
         if not events:
             return 0
         self.events_delivered += len(events)
         self.events_offered += len(events)
+        if self._member is not None:
+            return 0  # the SharedGroup ingests the chunk once for everyone
         matches = self.session.push_many(events)
         self._enqueue(matches)
         return len(matches)
@@ -694,10 +675,11 @@ class StreamHub:
         """Offer one event to every attachment; return the number of
         matches it validated across all of them.
 
-        The shared sorter may hold the event back (slack) or release
-        several buffered ones; each released event is fanned out to
-        every live attachment in attach order, and pending attachments
-        are admitted the moment their alignment point passes.
+        The 1-event case of :meth:`push_many`: the shared sorter may
+        hold the event back (slack) or release several buffered ones;
+        whatever it releases is fanned out as one chunk, to every live
+        attachment in attach order, and pending attachments are admitted
+        the moment their alignment point passes.
         """
         self._require_open("push")
         if self._chain_push is None:
@@ -710,19 +692,17 @@ class StreamHub:
         return 0 if result is None else result
 
     def _push_raw(self, event: Event) -> int:
-        released = self._sorter.push(event)
-        self.events_pushed += 1
-        return self._fan_out(released)
+        return self._push_many_raw((event,))
 
     def push_many(self, events: Iterable[Event]) -> int:
         """Offer a batch of events; return the total matches validated.
 
-        Amortizes the ingestion path over the batch: one sorter pass,
-        then one ``push_many`` per attachment over the whole released
-        chunk (instead of a per-event fan-out loop), and a single
-        backpressure check at the end — matches per attachment are
-        identical to per-event ``push``, only intra-batch sink
-        interleaving across attachments differs.
+        The batch is the unit of ingestion: one sorter pass, then one
+        ``push_many`` per attachment (one ingest per shared group) over
+        the whole released chunk, and a single backpressure check at
+        the end.  Matches per attachment do not depend on the chunking;
+        within a chunk, sinks of different attachments fire attachment
+        by attachment, not event by event.
         """
         self._require_open("push_many")
         if self._chain_push_many is None:
@@ -735,58 +715,53 @@ class StreamHub:
         return 0 if result is None else result
 
     def _push_many_raw(self, events: Iterable[Event]) -> int:
+        delivered = self._ingest(events)
+        # keep raising while any queue is over bound, even on calls the
+        # sorter fully buffered — the producer must drain
+        over = [a for a in self._attachments if a._over_bound]
+        if over:
+            raise BackpressureError(over)
+        return delivered
+
+    def _ingest(self, events: Iterable[Event]) -> int:
+        """One pass through the shared sorter, then the fan-out of
+        whatever the batch released."""
         released: list[Event] = []
         count = 0
         for event in events:
             released.extend(self._sorter.push(event))
             count += 1
         self.events_pushed += count
-        delivered = 0
-        if released:
-            first_position = self._position
-            self._position += len(released)
-            if self._retained is not None:
-                self._retained.extend(
-                    (first_position + index, event)
-                    for index, event in enumerate(released))
-            # classify the chunk once against the routing index; each
-            # live routed attachment receives only its interested subset
-            buckets = self._routing.buckets(released) \
-                if self._routing.has_routed else None
-            for attachment in list(self._attachments):
-                if buckets is not None and attachment._live and \
-                        attachment._routed_types is not None:
-                    delivered += attachment._offer_routed(
-                        buckets.get(attachment.name, _NO_EVENTS),
-                        len(released))
-                else:
-                    delivered += attachment._offer_many(released,
-                                                        first_position)
-            if self._groups:
-                delivered += self._ingest_groups(released, first_position)
-        # like push(): keep raising while any queue is over bound, even
-        # on calls the sorter fully buffered — the producer must drain
-        over = [a for a in self._attachments if a._over_bound]
-        if over:
-            raise BackpressureError(over)
-        return delivered
+        return self._deliver_chunk(released)
 
-    def _fan_out(self, released: list[Event], *,
-                 raise_backpressure: bool = True) -> int:
+    def _deliver_chunk(self, released: list[Event]) -> int:
+        """The hub's one fan-out: hand a released chunk (positions
+        ``self._position...``) to every attachment and shared group, each
+        in one batch."""
+        if not released:
+            return 0
+        first_position = self._position
+        self._position += len(released)
+        if self._retained is not None:
+            self._retained.extend(
+                (first_position + index, event)
+                for index, event in enumerate(released))
+        # classify the chunk once against the routing index; each
+        # live routed attachment receives only its interested subset
+        buckets = self._routing.buckets(released) \
+            if self._routing.has_routed else None
         delivered = 0
-        for event in released:
-            position = self._position
-            self._position += 1
-            if self._retained is not None:
-                self._retained.append((position, event))
-            for attachment in list(self._attachments):
-                delivered += attachment._offer(event, position)
-            if self._groups:
-                delivered += self._ingest_groups([event], position)
-        if raise_backpressure:
-            over = [a for a in self._attachments if a._over_bound]
-            if over:
-                raise BackpressureError(over)
+        for attachment in list(self._attachments):
+            if buckets is not None and attachment._live and \
+                    attachment._routed_types is not None:
+                delivered += attachment._offer_routed(
+                    buckets.get(attachment.name, _NO_EVENTS),
+                    len(released))
+            else:
+                delivered += attachment._offer_many(released,
+                                                    first_position)
+        if self._groups:
+            delivered += self._ingest_groups(released, first_position)
         return delivered
 
     def _ingest_groups(self, released: list[Event],
@@ -825,8 +800,7 @@ class StreamHub:
         return 0 if result is None else result
 
     def _flush_raw(self) -> int:
-        delivered = self._fan_out(self._sorter.flush(),
-                                  raise_backpressure=False)
+        delivered = self._deliver_chunk(self._sorter.flush())
         errors: list = []
         for attachment in list(self._attachments):
             delivered += attachment._finish(errors)
@@ -920,27 +894,22 @@ class StreamHub:
 
     def replay_suffix(self, first_position: int,
                       events: list[Event]) -> int:
-        """Recovery: re-fan-out already-released events so open
-        windows rebuild their partial matches.  Bypasses the sorter
-        (these events were released before the snapshot) and the
+        """Recovery: re-fan-out already-released events, as one chunk,
+        so open windows rebuild their partial matches.  Bypasses the
+        sorter (these events were released before the snapshot) and the
         middleware chains; emitted matches are expected to be
         suppressed by the recovery dedup ledger."""
         self._position = first_position
-        return self._fan_out(events, raise_backpressure=False)
+        return self._deliver_chunk(events)
 
     def ingest_replay(self, events: Iterable[Event]) -> int:
-        """Recovery: re-push WAL-tail events through the shared sorter
-        and fan-out, bypassing the middleware chains (their effects —
-        shedding, validation rewrites — are baked into the logged
-        events) and the backpressure raise (consumers are not running
-        during recovery)."""
-        released: list[Event] = []
-        count = 0
-        for event in events:
-            released.extend(self._sorter.push(event))
-            count += 1
-        self.events_pushed += count
-        return self._fan_out(released, raise_backpressure=False)
+        """Recovery: re-push one logged batch of WAL-tail events
+        through the shared sorter and the fan-out — what a live
+        ``push_many`` of the same batch does below the middleware chains
+        (their effects — shedding, validation rewrites — are baked into
+        the logged events) and without the backpressure raise (consumers
+        are not running during recovery)."""
+        return self._ingest(events)
 
     # -- introspection -----------------------------------------------------
 

@@ -511,11 +511,12 @@ class SharedGroup:
             events = events[skip:]
         self._memo.clear()
         splitter = self._splitter
-        stream = splitter.stream
         types = self._types
-        for event in events:
-            position = len(stream)
-            splitter.ingest(event)
+        first = len(splitter.stream)
+        # safe as one batch: closed windows are only processed below,
+        # after the whole chunk is in the stream
+        splitter.ingest_many(events)
+        for position, event in enumerate(events, first):
             positions = types.get(event.etype)
             if positions is None:
                 types[event.etype] = [position]
@@ -897,7 +898,7 @@ class MemberSession(Session):
         self._staged: list[ComplexEvent] = []
 
     # events flow through the group, never through this session
-    def _ingest(self, event: Event) -> None:
+    def _ingest_many(self, events) -> None:
         raise AssertionError(
             "shared attachments are fed by their SharedGroup")
 

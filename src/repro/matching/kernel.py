@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.events.event import Event
 from repro.patterns.ast import (
@@ -576,6 +576,11 @@ class EventClassifier:
 
     def ingest(self, event: Event) -> None:
         self._flags.append(event.etype in self.relevant_types)
+
+    def ingest_many(self, events: Iterable[Event]) -> None:
+        relevant_types, flag = self.relevant_types, self._flags.append
+        for event in events:
+            flag(event.etype in relevant_types)
 
     def relevant(self, position: int) -> bool:
         index = position - self._offset

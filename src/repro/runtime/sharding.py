@@ -423,14 +423,17 @@ class ShardedSession(Session):
                 assert window.end_pos is not None
                 self._max_end = max(self._max_end, window.end_pos)
 
-    def _ingest(self, event: Event) -> None:
+    def _ingest_many(self, events: Sequence[Event]) -> None:
         if not self.eager:
-            self._buffer.append(event)
+            self._buffer.extend(events)
             return
         assert self._splitter is not None
-        opened = self._splitter.ingest(event)
-        # ends resolved by this event become visible *before* the
-        # boundary test, matching the static plan's full knowledge
+        opened = self._splitter.ingest_many(events)
+        # every end the batch resolved is noted before its opens are
+        # tested, matching the static plan's full knowledge.  Knowing
+        # an end earlier than the per-event order would changes no cut:
+        # it only forbids boundaries below that end, which the window,
+        # still open at those positions, forbade anyway.
         self._note_closed()
         for window in opened:
             if (self._windows_seen > 0 and not self._unknown_ids

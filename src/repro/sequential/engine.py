@@ -82,8 +82,8 @@ class SequentialSession(Session):
             groups_completed=0, events_fed=0, events_skipped_consumed=0)
         self._last_window_id = -1
 
-    def _ingest(self, event: Event) -> None:
-        self._splitter.ingest(event)
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        self._splitter.ingest_many(events)
         self._pending.extend(self._splitter.drain_closed())
 
     def _finish(self) -> None:

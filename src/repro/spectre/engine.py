@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.consumption.group import ConsumptionGroup
 from repro.consumption.ledger import ConsumptionLedger
@@ -250,12 +250,12 @@ class SpectreEngine:
         self._classifier = classifier_for(self.query)
         return Splitter(self.query.window, classifier=self._classifier)
 
-    def ingest_event(self, event: Event) -> None:
-        """Admit one event; queue the windows it proved complete."""
+    def ingest_events(self, events: Sequence[Event]) -> None:
+        """Admit a batch; queue the windows it proved complete."""
         if self._splitter is None:
             self._splitter = self._new_splitter()
-        self._splitter.ingest(event)
-        self._input_count += 1
+        self._splitter.ingest_many(events)
+        self._input_count += len(events)
         for window in self._splitter.drain_closed():
             self._pending.append(window)
             self.stats.windows_total += 1
@@ -675,8 +675,8 @@ class SpectreSession(Session):
         self.max_cycles = max_cycles
         self._handed = 0  # prefix of engine.output already returned
 
-    def _ingest(self, event: Event) -> None:
-        self.engine.ingest_event(event)
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        self.engine.ingest_events(events)
 
     def _finish(self) -> None:
         self.engine.finish_stream()

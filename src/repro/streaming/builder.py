@@ -34,7 +34,7 @@ through this facade.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
@@ -168,36 +168,19 @@ class PipelineSession(Session):
         """Events dropped (or raised on) by the reorder stage."""
         return self.sorter.late_events if self.sorter is not None else 0
 
-    def _ingest(self, event: Event) -> None:
-        released = self.sorter.push(event) if self.sorter is not None \
-            else (event,)
-        for ev in released:
-            self._staged.extend(self.inner.push(ev))
-
-    def _ingest_many(self, events) -> tuple[int, float]:
-        """Batch ingestion (drives ``push_many``): one sorter pass and
-        one inner ``push_many`` — amortizes the per-event reorder and
-        drain overhead for chunked sources."""
-        count = 0
-        last_ts = self._last_ts
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        """One sorter pass, then one inner ``push_many`` over whatever
+        the batch released."""
         if self.sorter is not None:
             released: list[Event] = []
             for event in events:
                 released.extend(self.sorter.push(event))
-                count += 1
-                last_ts = event.timestamp
-        else:
-            released = list(events)
-            count = len(released)
-            if released:
-                last_ts = released[-1].timestamp
-        self._staged.extend(self.inner.push_many(released))
-        return count, last_ts
+            events = released
+        self._staged.extend(self.inner.push_many(events))
 
     def _finish(self) -> None:
         if self.sorter is not None:
-            for ev in self.sorter.flush():
-                self._staged.extend(self.inner.push(ev))
+            self._staged.extend(self.inner.push_many(self.sorter.flush()))
         self._staged.extend(self.inner.flush())
 
     def _drain(self) -> list[ComplexEvent]:

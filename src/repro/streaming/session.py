@@ -46,12 +46,13 @@ block always cleans up.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, \
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, \
     runtime_checkable
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
-from repro.middleware.base import MiddlewareContext, MiddlewareStack
+from repro.middleware.base import MiddlewareContext, MiddlewareStack, \
+    _implements
 from repro.middleware.sinks import SinkError
 
 if TYPE_CHECKING:
@@ -75,7 +76,7 @@ class SessionClosedError(SessionStateError):
 class Session(abc.ABC):
     """Incremental push-based processing of one event stream.
 
-    Subclasses implement the four primitive hooks (``_ingest``,
+    Subclasses implement the four primitive hooks (``_ingest_many``,
     ``_drain``, ``_finish``, ``result``) plus optionally garbage
     collection (``_collect_garbage``) and resource release
     (``_release``); this base class owns the lifecycle state machine.
@@ -109,10 +110,31 @@ class Session(abc.ABC):
                                   else MiddlewareStack(middleware))
 
     def _bind_middleware(self, stack: MiddlewareStack) -> None:
-        self._chain_push = stack.chain(
-            "on_push", lambda ctx: self._push_raw(ctx.event))
-        self._chain_push_many = stack.chain(
-            "on_push_many", lambda ctx: self._push_many_raw(ctx.events))
+        def push_one(ctx):
+            return self._push_many_raw((ctx.event,))
+
+        def push_batch(ctx):
+            return self._push_many_raw(ctx.events)
+
+        self._chain_push = stack.chain("on_push", push_one)
+        self._chain_push_many = stack.chain("on_push_many", push_batch)
+        # a middleware that hooks only ``on_push`` still sees every
+        # event of a batch: innermost in the ``on_push_many`` chain the
+        # batch passes those hooks one event at a time
+        per_event = self._chain_push and MiddlewareStack(
+            mw for mw in stack.middlewares
+            if not _implements(mw, "on_push_many")).chain("on_push", push_one)
+        if per_event is not None:
+            def push_each(ctx):
+                events, ctx.events = ctx.events, None
+                ctx.hook = "on_push"
+                matches: list[ComplexEvent] = []
+                for ctx.event in events:
+                    matches.extend(per_event(ctx) or ())
+                return matches
+
+            self._chain_push_many = \
+                stack.chain("on_push_many", push_each) or push_each
         self._chain_flush = stack.chain(
             "on_flush", lambda ctx: self._flush_raw())
         self._chain_match = stack.chain("on_match", lambda ctx: ctx.match)
@@ -132,8 +154,10 @@ class Session(abc.ABC):
     # -- primitive hooks ---------------------------------------------------
 
     @abc.abstractmethod
-    def _ingest(self, event: Event) -> None:
-        """Admit one event (split into windows, queue closed windows)."""
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        """Admit a batch of events (split into windows, queue closed
+        windows).  The batch is the unit of ingestion: ``push`` arrives
+        here as a 1-element batch."""
 
     @abc.abstractmethod
     def _drain(self) -> list[ComplexEvent]:
@@ -192,7 +216,8 @@ class Session(abc.ABC):
         return "open"
 
     def push(self, event: Event) -> list[ComplexEvent]:
-        """Offer one event; return the matches *it* validated.
+        """Offer one event; return the matches *it* validated — the
+        1-element case of :meth:`push_many`.
 
         Lazy sessions always return ``[]`` (everything surfaces at
         ``flush``).  With middleware installed the event routes through
@@ -200,10 +225,11 @@ class Session(abc.ABC):
         short-circuit (drop), in which case ``[]`` is returned and the
         core never sees the event.
         """
-        self._require_open("push")
+        if self._closed or self._flushed:  # inline: the per-event path
+            self._require_open("push")
         chain = self._chain_push
         if chain is None:
-            return self._push_raw(event)
+            return self._push_many_raw((event,))
         ctx = self._mw_ctx
         ctx.hook = "on_push"
         ctx.event = event
@@ -211,34 +237,20 @@ class Session(abc.ABC):
         result = chain(ctx)
         return [] if result is None else result
 
-    def _push_raw(self, event: Event) -> list[ComplexEvent]:
-        self._ingest(event)
-        self.events_pushed += 1
-        self._last_ts = event.timestamp
-        if not self.eager:
-            return []
-        matches = self._drain()
-        if self.gc:
-            self._collect_garbage()
-        if self._chain_match is not None:
-            matches = self._deliver_matches(matches)
-        self.matches_emitted += len(matches)
-        return matches
-
     def push_many(self, events: Iterable[Event]) -> list[ComplexEvent]:
         """Offer a batch of events; return the matches they validated.
 
-        Semantically ``[m for e in events for m in push(e)]``, but the
-        per-event drain/garbage-collection cycle is amortized over the
-        whole batch: one lifecycle check, one drain, one GC sweep.  Use
-        it when the source hands events in chunks (file replay, network
-        batches) — per-event emission granularity is traded for
-        throughput within the batch; across batches nothing changes.
-        Subclasses with a cheaper bulk ingestion path override
-        :meth:`_ingest_many`, not this method.  The ``on_push_many``
-        chain may trim or replace the batch before the core ingests it.
+        The batch is the unit of ingestion: the engine admits it in one
+        :meth:`_ingest_many` call (one splitter pass), then the session
+        drains and garbage-collects once.  The matches are those of
+        ``[m for e in events for m in push(e)]`` — per-event emission
+        granularity is traded for throughput within the batch; across
+        batches nothing changes.  The ``on_push_many`` chain may trim or
+        replace the batch before the core ingests it; a middleware that
+        hooks only ``on_push`` then sees the batch one event at a time.
         """
-        self._require_open("push_many")
+        if self._closed or self._flushed:
+            self._require_open("push_many")
         chain = self._chain_push_many
         if chain is None:
             return self._push_many_raw(events)
@@ -250,9 +262,12 @@ class Session(abc.ABC):
         return [] if result is None else result
 
     def _push_many_raw(self, events: Iterable[Event]) -> list[ComplexEvent]:
-        count, last_ts = self._ingest_many(events)
-        self.events_pushed += count
-        self._last_ts = last_ts
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        self._ingest_many(events)
+        self.events_pushed += len(events)
+        if events:
+            self._last_ts = events[-1].timestamp
         if not self.eager:
             return []
         matches = self._drain()
@@ -262,17 +277,6 @@ class Session(abc.ABC):
             matches = self._deliver_matches(matches)
         self.matches_emitted += len(matches)
         return matches
-
-    def _ingest_many(self, events: Iterable[Event]) -> tuple[int, float]:
-        """Bulk-admit ``events``; return (count, last timestamp seen,
-        or the previous one when the batch is empty)."""
-        count = 0
-        last_ts = self._last_ts
-        for event in events:
-            self._ingest(event)
-            count += 1
-            last_ts = event.timestamp
-        return count, last_ts
 
     def flush(self) -> list[ComplexEvent]:
         """End-of-stream: close trailing windows, drain everything still
@@ -416,8 +420,9 @@ class Engine(Protocol):
 
 
 def drive(session: Session, events: Iterable[Event]) -> list[ComplexEvent]:
-    """Push ``events`` through ``session`` and flush; return all matches
-    in emission order.  Convenience used by batch wrappers and tests."""
+    """Push ``events`` through ``session`` one at a time and flush;
+    return all matches in emission order.  Convenience used by the
+    batch wrappers (``Engine.run``/``Pipeline.run``) and tests."""
     matches: list[ComplexEvent] = []
     for event in events:
         matches.extend(session.push(event))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.consumption.ledger import ConsumptionLedger
 from repro.events.complex_event import ComplexEvent
@@ -69,8 +69,8 @@ class TRexSession(Session):
         self._wall_seconds = 0.0
         self._last_window_id = -1
 
-    def _ingest(self, event: Event) -> None:
-        self._splitter.ingest(event)
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        self._splitter.ingest_many(events)
         self._pending.extend(self._splitter.drain_closed())
 
     def _finish(self) -> None:

@@ -14,12 +14,12 @@ identical window decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.events.event import Event
-from repro.events.stream import EventStream
+from repro.events.stream import EventStream, StreamOrderError
 from repro.utils.ids import IdGenerator
-from repro.windows.specs import CountScope, TimeScope, WindowSpec
+from repro.windows.specs import CountScope, EverySlide, WindowSpec
 from repro.windows.window import Window
 
 
@@ -42,13 +42,15 @@ class SplitterStats:
 class Splitter:
     """Ingests events and produces the window decomposition.
 
-    Usage::
+    The batch is the unit of ingestion; :meth:`ingest` is the 1-event
+    case of :meth:`ingest_many`.  Usage::
 
         splitter = Splitter(spec)
-        for event in source:
-            new_windows = splitter.ingest(event)   # windows opened here
+        for chunk in source:
+            new_windows = splitter.ingest_many(chunk)  # windows opened here
+            ready = splitter.drain_closed()            # windows closed here
             ...
-        splitter.finish()                          # close trailing windows
+        splitter.finish()                              # close trailing windows
     """
 
     def __init__(self, spec: WindowSpec, stream: EventStream | None = None,
@@ -61,8 +63,17 @@ class Splitter:
         # where per-event type relevance is classified (then shared by
         # every overlapping window).
         self.classifier = classifier
+        # spec kinds, resolved once: slide 0 = predicate start, size 0 =
+        # time scope
+        start, scope = spec.start, spec.scope
+        self._slide = start.slide if isinstance(start, EverySlide) else 0
+        self._predicate = None if self._slide else start.predicate
+        self._size = scope.size if isinstance(scope, CountScope) else 0
+        self._duration = 0.0 if self._size else scope.duration
         self._ids = IdGenerator()
         self._open_windows: list[Window] = []
+        # what closes the front open window (see ``_expiry``), if any
+        self._front_expiry: float | None = None
         self.windows: list[Window] = []  # all non-retired windows, by id
         self._newly_closed: list[Window] = []
         self._retired = 0  # windows dropped from the front of `windows`
@@ -74,67 +85,83 @@ class Splitter:
         return len(self.stream)
 
     def ingest(self, event: Event) -> list[Window]:
-        """Ingest one event; return windows *opened* by it.
+        """Ingest one event; return windows *opened* by it (the
+        1-event case of :meth:`ingest_many`)."""
+        return self.ingest_many((event,))
 
+    def ingest_many(self, events: Sequence[Event]) -> list[Window]:
+        """Ingest a batch; return the windows *opened* by it, in order.
+
+        Produces exactly the window decomposition, statistics and
+        :meth:`drain_closed` order of one :meth:`ingest` per event.
         Closing happens as a side effect: count-scoped windows close when
         their size is reached, time-scoped windows close when an event
         beyond their duration arrives (events are globally ordered, so the
-        first such event proves the window can receive no more).
+        first such event proves the window can receive no more).  An
+        out-of-order event raises
+        :class:`~repro.events.stream.StreamOrderError` after the events
+        before it were ingested; it and the rest of the batch are not.
         """
         if self._finished:
             raise RuntimeError("splitter already finished")
-        position = len(self.stream)
-        self.stream.append(event)
+        stream = self.stream
+        first = len(stream)
+        try:
+            stream.extend(events)
+        except StreamOrderError:
+            self._split(events[:len(stream) - first], first)
+            raise
+        return self._split(events, first)
+
+    def _split(self, events: Sequence[Event], first: int) -> list[Window]:
+        """Window the events just appended at positions ``first...``."""
         if self.classifier is not None:
-            self.classifier.ingest(event)
-
-        self._close_expired(event, position)
-
+            self.classifier.ingest_many(events)
+        slide, predicate = self._slide, self._predicate
+        by_count = self._size > 0
+        # Windows expire in open order (count scopes: end = start + size
+        # with nondecreasing starts; time scopes: nondecreasing start
+        # timestamps), so only the front window is tested per event —
+        # the hot no-expiry case is one comparison against ``expiry``.
+        open_windows = self._open_windows
+        expiry = self._front_expiry
         opened: list[Window] = []
-        if self.spec.start.opens_at(event, position):
-            window = self._open_window(position, event)
-            opened.append(window)
+        for position, event in enumerate(events, first):
+            while expiry is not None and (
+                    position >= expiry if by_count
+                    else event.timestamp > expiry):
+                self._finalize(open_windows.pop(0), position)
+                expiry = self._front_expiry = \
+                    self._expiry(open_windows[0]) if open_windows else None
+            if (position % slide == 0) if slide else predicate(event):
+                window = self._open_window(position)
+                opened.append(window)
+                if expiry is None:
+                    expiry = self._front_expiry = self._expiry(window)
         return opened
 
-    def _open_window(self, position: int, event: Event) -> Window:
+    def _open_window(self, position: int) -> Window:
         window = Window(window_id=self._ids.next(), stream=self.stream,
                         start_pos=position)
-        scope = self.spec.scope
-        if isinstance(scope, CountScope):
+        if self._size:
             # end known immediately; the window still *closes* (becomes
             # fully readable) only once the stream reaches the end position.
-            window.end_pos = position + scope.size
+            window.end_pos = position + self._size
         self._open_windows.append(window)
         self.windows.append(window)
         self.stats.windows_opened += 1
         return window
 
-    def _close_expired(self, event: Event, position: int) -> None:
-        # Windows expire in open order (count scopes: end = start + size
-        # with nondecreasing starts; time scopes: nondecreasing start
-        # timestamps), so scan from the front and stop at the first live
-        # window — the hot no-expiry case touches one window and
-        # allocates nothing instead of rebuilding the open list per
-        # ingest.
-        open_windows = self._open_windows
-        expired = 0
-        for window in open_windows:
-            if not self._is_expired(window, event, position):
-                break
-            self._finalize(window, event, position)
-            expired += 1
-        if expired:
-            del open_windows[:expired]
+    def _expiry(self, window: Window) -> float:
+        """What proves ``window`` can receive no more events: the first
+        position at or past its end (count scope), the first timestamp
+        beyond its duration (time scope)."""
+        if self._size:
+            return window.end_pos  # type: ignore[return-value]
+        return window.start_event.timestamp + self._duration
 
-    def _is_expired(self, window: Window, event: Event, position: int) -> bool:
-        scope = self.spec.scope
-        if isinstance(scope, CountScope):
-            return position >= window.end_pos  # type: ignore[operator]
-        assert isinstance(scope, TimeScope)
-        return scope.closes_before(window.start_event, event)
-
-    def _finalize(self, window: Window, event: Event, position: int) -> None:
-        if isinstance(self.spec.scope, TimeScope):
+    def _finalize(self, window: Window, position: int) -> None:
+        if window.end_pos is None:
             window.close(position)  # current event is outside the window
         # count-scoped windows already carry end_pos
         self.stats.windows_closed += 1
@@ -157,6 +184,7 @@ class Splitter:
             self.stats.closed_size_sum += window.size()  # type: ignore[arg-type]
             self._newly_closed.append(window)
         self._open_windows = []
+        self._front_expiry = None
 
     def drain_closed(self) -> list[Window]:
         """Windows closed since the last call, in window-id order.
@@ -164,7 +192,7 @@ class Splitter:
         Closure order equals id order: for a single scope kind a later
         window can never close before an earlier one, and windows closing
         on the same event are finalized in open order.  Streaming sessions
-        poll this after every :meth:`ingest` (and after :meth:`finish`)
+        poll this after every :meth:`ingest_many` (and after :meth:`finish`)
         to feed engines windows as soon as they become fully readable.
         """
         closed = self._newly_closed
@@ -180,8 +208,8 @@ class Splitter:
     def split_all(self, events) -> list[Window]:
         """Convenience: ingest an entire finite stream and return all
         windows (used by the sequential and T-REX baselines)."""
-        for event in events:
-            self.ingest(event)
+        self.ingest_many(events if isinstance(events, (list, tuple))
+                         else list(events))
         self.finish()
         return list(self.windows)
 

@@ -11,6 +11,7 @@ repeats this with a real SIGKILL)."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -18,8 +19,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets import generate_nyse
 from repro.durability import DurableHub
+from repro.durability.wal import read_snapshot, snapshot_path
+from repro.events.event import Event
 from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
+from repro.streaming import Session
+from repro.windows import Splitter
 
 BAND_TEXT = """PATTERN (A B)
 DEFINE
@@ -152,6 +157,10 @@ def test_recovery_tolerates_torn_tail(tmp_path):
                                           tear_tail_bytes=13)
     assert delivered["band"] == reference["band"]
     assert report.recovered
+    stats = report.to_dict()
+    assert stats["replayed_events"] > 0
+    assert stats["replay_seconds"] > 0
+    assert stats["replay_events_per_s"] > 0
 
 
 def test_repeated_crashes_converge(tmp_path):
@@ -219,3 +228,115 @@ def test_cursors_are_contiguous_across_recovery(tmp_path):
                reopened.manager.read_emits("band")]
     assert cursors == list(range(1, len(cursors) + 1))
     reopened.manager.close(checkpoint=False)
+
+
+# -- pre-crash consumption on the batched replay path -----------------------
+
+CONSUME_TIME_TEXT = ("PATTERN (tA tB)\n"
+                     "WITHIN 8 seconds FROM tA\n"
+                     "CONSUME (tA tB)\n")
+
+
+def _typed_events(count=200, seed=3):
+    rng = random.Random(seed)
+    return [Event(seq=index, etype=rng.choice(["tA", "tB", "tB", "tX"]),
+                  timestamp=float(index), attributes={})
+            for index in range(count)]
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_replay_drops_precrash_consumed_events(tmp_path, share):
+    """A consuming query checkpointed while windows overlap the cut: the
+    snapshot carries the seqs its ledger already spent, and the batched
+    replay must drop them (uncounted) before the session sees the
+    suffix — or an open window re-binds an event a closed one consumed.
+    ``share=True`` makes the attachment type-routed (time scope, typed
+    start), ``share=False`` leaves it on the offer-all path."""
+    events = _typed_events()
+    checkpoint_at, crash_at = 76, 106
+
+    reference = []
+    plain = StreamHub(share=share)
+    plain.attach(parse_query(CONSUME_TIME_TEXT, name="c"),
+                 engine="sequential", name="c",
+                 sink=lambda ce: reference.append(ce.identity()))
+    plain.push_many(events)
+    plain.close()
+
+    delivered = []
+    sink = lambda ce: delivered.append(ce.identity())  # noqa: E731
+    first = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never",
+                       share=share)
+    first.attach(parse_query(CONSUME_TIME_TEXT, name="c"),
+                 engine="sequential", name="c", sink=sink)
+    first.push_many(events[:checkpoint_at])
+    segment = first.checkpoint()
+    first.push_many(events[checkpoint_at:crash_at])
+    first.hub.abort()
+
+    body = read_snapshot(snapshot_path(tmp_path, segment))
+    consumed = body["attachments"][0]["consumed"]
+    suffix = body["suffix"]["events"]
+    assert consumed, "scenario must checkpoint with spent events in reach"
+
+    second = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never",
+                        sink_provider=lambda record: sink)
+    attachment, = second.attachments
+    second.push_many(events[crash_at:])
+    second.close()
+
+    assert delivered == reference
+    routed = attachment._routed_types
+    if share and attachment.query.plan.compiled:
+        assert routed is not None
+    assert attachment.events_delivered == \
+        len(suffix) - len(consumed) + sum(
+            1 for event in events[checkpoint_at:]
+            if routed is None or event.etype in routed)
+
+
+# -- the batch is the unit of replay (counts, no clocks) --------------------
+
+
+def test_recovery_replays_each_logged_push_as_one_batch(tmp_path,
+                                                        monkeypatch):
+    """A tail of N events logged as R ``push`` records enters every
+    attachment's engine session R times and its splitter R times — not
+    N: recovery rides the live batched fan-out, there is no per-event
+    sibling to fall back to."""
+    records, size = 6, 50
+    names = ("c1", "c2")  # consuming queries keep private engine sessions
+    first = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never")
+    for name in names:
+        first.attach(band_query(name, BAND_CONSUME_TEXT),
+                     engine="sequential", name=name)
+    for record in range(records):
+        first.push_many(EVENTS[record * size:(record + 1) * size])
+    first.hub.abort()
+
+    entered, split = Counter(), Counter()
+
+    def counting(counter, method):
+        def wrapper(self, *args):
+            counter[id(self)] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(Session, "push", counting(entered, Session.push))
+    monkeypatch.setattr(Session, "push_many",
+                        counting(entered, Session.push_many))
+    monkeypatch.setattr(Splitter, "ingest_many",
+                        counting(split, Splitter.ingest_many))
+    second = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never")
+    monkeypatch.undo()
+
+    assert second.recovery_report.replayed_events == records * size
+    assert [a.name for a in second.attachments] == list(names)
+    for attachment in second.attachments:
+        assert attachment._member is None
+        engine_session = attachment.session.inner
+        assert entered[id(attachment.session)] == records
+        assert entered[id(engine_session)] == records
+        assert split[id(engine_session._splitter)] == records
+        assert engine_session.events_pushed == records * size
+    second.manager.close(checkpoint=False)

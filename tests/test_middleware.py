@@ -222,6 +222,54 @@ class TestPipelineMiddleware:
         assert session.events_pushed == 10
         session.close()
 
+    def test_push_only_middleware_sees_every_event_of_a_batch(self):
+        """``run()`` and ``push_many`` feed batches; a middleware that
+        hooks only ``on_push`` still filters and counts per event —
+        alone, and inside a chain that also hooks ``on_push_many``."""
+        class DropX(Middleware):
+            calls = 0
+
+            def on_push(self, context, call_next):
+                assert context.hook == "on_push" and context.events is None
+                self.calls += 1
+                if context.event.etype == "X":
+                    return None
+                return call_next(context)
+
+        class KeepHalf(Middleware):
+            def on_push_many(self, context, call_next):
+                context.events = context.events[:len(context.events) // 2]
+                return call_next(context)
+
+        events = abc_stream()
+        filtered = [e for e in events if e.etype != "X"]
+        expected = pipeline(abc_query()).engine("sequential").run(filtered)
+        assert expected.complex_events
+
+        drop = DropX()
+        result = pipeline(abc_query()).engine("sequential").use(drop) \
+            .run(events)
+        assert drop.calls == len(events)
+        assert result.identities() == expected.identities()
+
+        drop = DropX()
+        session = pipeline(abc_query()).engine("sequential").use(drop) \
+            .use(MetricsMiddleware()).open()
+        matches = session.push_many(events) + session.flush()
+        assert drop.calls == len(events)
+        assert session.events_pushed == len(filtered)
+        assert [ce.identity() for ce in matches] == expected.identities()
+        session.close()
+
+        drop = DropX()
+        session = pipeline(abc_query()).engine("sequential") \
+            .use(KeepHalf()).use(drop).open()
+        session.push_many(events[:20])
+        assert drop.calls == 10     # the batch hook trimmed first
+        assert session.events_pushed == \
+            sum(e.etype != "X" for e in events[:10])
+        session.close()
+
     def test_match_suppression_hides_from_sinks_and_caller(self):
         sunk = []
 

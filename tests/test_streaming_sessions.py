@@ -17,6 +17,7 @@ from repro.events import make_event
 from repro.graph.operator import ENGINE_FACTORIES
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
+from repro.runtime.sharding import plan_shards
 from repro.sequential.engine import SequentialEngine
 from repro.streaming import (
     Engine,
@@ -26,6 +27,7 @@ from repro.streaming import (
 )
 from repro.streaming.builder import build_engine
 from repro.windows import WindowSpec
+from repro.windows.specs import EverySlide, TimeScope
 
 # every speculative engine in the registry, by its builder alias, plus
 # the two baselines — the whole public engine surface
@@ -385,3 +387,133 @@ class TestRandomizedSessionParity:
         result = session.result()
         assert result.stats.windows_total == batch.stats.windows_total
         assert result.virtual_time == batch.virtual_time
+
+
+# -- batch-first ingestion: push_many ≡ push ≡ run ---------------------------
+
+WINDOW_SPECS = {
+    "slide/count": WindowSpec.count_sliding(6, 3),
+    "slide/time": WindowSpec(start=EverySlide(3), scope=TimeScope(5.0)),
+    "predicate/count": WindowSpec.count_on(6, lambda e: e.etype == "A"),
+    "predicate/time": WindowSpec.time_on(5.0, lambda e: e.etype == "A"),
+}
+
+
+def spec_query(spec_name: str, classified: bool):
+    """A B C under one of the four start × scope combinations.  An
+    untyped atom disables the plan's type prefilter, so the splitter
+    runs without a classifier."""
+    middle = Atom("B", etype="B") if classified else \
+        Atom("B", predicate=lambda event, bindings: event.etype == "B")
+    pattern = sequence(Atom("A", etype="A"), middle, Atom("C", etype="C"))
+    return make_query("abc", pattern, WINDOW_SPECS[spec_name],
+                      consumption=ConsumptionPolicy.all())
+
+
+def chunked(events, sizes):
+    """Cut ``events`` into consecutive chunks, cycling through ``sizes``."""
+    chunks, start, index = [], 0, 0
+    while start < len(events):
+        size = sizes[index % len(sizes)]
+        chunks.append(events[start:start + size])
+        start += size
+        index += 1
+    return chunks
+
+
+class TestBatchIngestParity:
+    """``push`` is the 1-element case of ``push_many``: any chunking of
+    a feed gives the per-event session's matches and ledger, and — for
+    lazy sessions, which only ingest on push — bit-identical results."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(stream=streams,
+           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=5),
+           spec_name=st.sampled_from(sorted(WINDOW_SPECS)),
+           classified=st.booleans(),
+           name=st.sampled_from(["sequential", "spectre", "trex"]))
+    def test_any_chunking_equals_per_event_push_and_run(
+            self, stream, sizes, spec_name, classified, name):
+        query = spec_query(spec_name, classified)
+        batch = make_engine(name, query).run(stream)
+
+        per_event = make_engine(name, query).open(eager=True, gc=True)
+        expected = [m for event in stream for m in per_event.push(event)]
+        expected += per_event.flush()
+
+        session = make_engine(name, query).open(eager=True, gc=True)
+        matches = []
+        for chunk in chunked(stream, sizes):
+            matches += session.push_many(chunk)
+            # GC ran between batches: nothing below the oldest live
+            # window is retained
+            splitter = session._splitter
+            if splitter is not None:
+                assert splitter.stream.offset == splitter.min_live_start()
+        matches += session.flush()
+
+        identities = [ce.identity() for ce in matches]
+        assert identities == [ce.identity() for ce in expected]
+        assert identities == batch.identities()
+        assert session.consumed_seqs() == per_event.consumed_seqs()
+        assert session.events_pushed == per_event.events_pushed
+        assert session.watermark == per_event.watermark
+
+    @settings(max_examples=20, deadline=None)
+    @given(stream=streams,
+           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=5),
+           spec_name=st.sampled_from(sorted(WINDOW_SPECS)),
+           classified=st.booleans())
+    def test_lazy_spectre_is_bit_identical(self, stream, sizes, spec_name,
+                                           classified):
+        query = spec_query(spec_name, classified)
+        batch = make_engine("spectre", query).run(stream)
+
+        per_event = make_engine("spectre", query).open(eager=False)
+        for event in stream:
+            per_event.push(event)
+        per_event.flush()
+
+        session = make_engine("spectre", query).open(eager=False)
+        for chunk in chunked(stream, sizes):
+            session.push_many(chunk)
+        session.flush()
+
+        for result in (per_event.result(), session.result()):
+            assert result.identities() == batch.identities()
+            assert result.stats.to_dict() == batch.stats.to_dict()
+            assert result.stats.window_latencies == \
+                batch.stats.window_latencies
+            assert result.virtual_time == batch.virtual_time
+            assert result.input_events == batch.input_events
+
+    @settings(max_examples=30, deadline=None)
+    @given(stream=streams,
+           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=5),
+           spec=st.sampled_from([
+               WindowSpec.count_sliding(4, 4),
+               WindowSpec(start=EverySlide(4), scope=TimeScope(2.0)),
+               WindowSpec.count_on(3, lambda e: e.etype == "A"),
+               WindowSpec.time_on(2.0, lambda e: e.etype == "A")]))
+    def test_sharded_cuts_do_not_depend_on_chunking(self, stream, sizes,
+                                                    spec):
+        """The eager sharded session replays a batch's closes and opens
+        in stream order, so it seals the static plan's shards however
+        the feed is chunked."""
+        pattern = sequence(Atom("A", etype="A"), Atom("B", etype="B"))
+        query = make_query("ab", pattern, spec,
+                           consumption=ConsumptionPolicy.all())
+        per_event = make_engine("sharded", query).open()
+        expected = [m for event in stream for m in per_event.push(event)]
+        expected += per_event.flush()
+
+        session = make_engine("sharded", query).open()
+        matches = []
+        for chunk in chunked(stream, sizes):
+            matches += session.push_many(chunk)
+        matches += session.flush()
+
+        assert session.shards == per_event.shards
+        assert session.shards == list(plan_shards(spec, stream).shards)
+        assert [ce.identity() for ce in matches] == \
+            [ce.identity() for ce in expected]

@@ -95,9 +95,8 @@ from repro.runtime import (
     TopKProbabilityScheduler,
     make_scheduler,
     plan_shards,
-    run_spectre_sharded,
 )
-from repro.sequential import SequentialEngine, run_sequential
+from repro.sequential import SequentialEngine
 from repro.streaming import (
     Engine,
     Pipeline,
@@ -118,12 +117,8 @@ from repro.spectre import (
     SpectreEngine,
     SpectreResult,
     ThreadedSpectreEngine,
-    run_spectre,
-    run_spectre_approximate,
-    run_spectre_elastic,
-    run_spectre_threaded,
 )
-from repro.trex import TRexEngine, run_trex
+from repro.trex import TRexEngine
 from repro.windows import WindowSpec
 
 __version__ = "1.2.0"
@@ -170,33 +165,26 @@ __all__ = [
     "ConsumptionPolicy",
     "WindowSpec",
     "SequentialEngine",
-    "run_sequential",
     "SpectreEngine",
     "SpectreConfig",
     "SpectreResult",
     "MarkovPredictor",
-    "run_spectre",
     "ThreadedSpectreEngine",
-    "run_spectre_threaded",
     "ApproximateSpectreEngine",
-    "run_spectre_approximate",
     "ElasticSpectreEngine",
     "ElasticityPolicy",
-    "run_spectre_elastic",
     "Forest",
     "OpLog",
     "InstancePool",
     "ShardPlan",
     "ShardedSpectreEngine",
     "plan_shards",
-    "run_spectre_sharded",
     "Scheduler",
     "TopKProbabilityScheduler",
     "FifoScheduler",
     "RoundRobinScheduler",
     "make_scheduler",
     "TRexEngine",
-    "run_trex",
     "make_q1",
     "make_q2",
     "make_q3",

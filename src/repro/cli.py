@@ -64,12 +64,7 @@ from repro.patterns.parser import parse_query
 from repro.runtime.scheduler import SCHEDULER_NAMES
 from repro.sequential.engine import SequentialEngine
 from repro.spectre.config import SpectreConfig
-from repro.streaming.builder import ENGINE_ALIASES, build_engine, pipeline
-
-SPECULATIVE_ENGINES = ("spectre", "threaded", "elastic", "approximate",
-                       "sharded")
-RUN_ENGINES = ("sequential",) + SPECULATIVE_ENGINES + ("trex",)
-GRAPH_ENGINES = ("sequential",) + SPECULATIVE_ENGINES
+from repro.streaming.builder import ENGINES, build_engine, pipeline
 
 
 def _parse_params(pairs: Sequence[str]) -> dict:
@@ -96,9 +91,51 @@ def _make_config(args: argparse.Namespace) -> SpectreConfig:
                          workers=getattr(args, "workers", 1))
 
 
-def _make_engine(name: str, query, config: SpectreConfig):
-    """Instantiate an engine by CLI name (shared fluent-builder path)."""
-    return build_engine(query, name, config=config)
+def _engine_options(args: argparse.Namespace) -> dict:
+    """``hub.attach`` options for ``--engine``: an engine that takes no
+    speculation config gets none — passing one would needlessly
+    disqualify the attachment from the hub's cross-query optimizer
+    (custom engine options opt out)."""
+    return {"config": _make_config(args)} \
+        if ENGINES[args.engine].takes_config else {}
+
+
+def _make_sink(counts: dict, name: str, quiet: bool = False):
+    """A sink printing ``[name] match #N`` lines (the CI smoke jobs grep
+    them), counting into ``counts``."""
+    def sink(ce) -> None:
+        counts[name] = counts.get(name, 0) + 1
+        if not quiet:
+            print(f"[{name}] match #{counts[name]}: {ce!r}", flush=True)
+    return sink
+
+
+def _print_recovery(report, tail) -> None:
+    """The recovery banner; ``tail(report)`` is its closing clause (what
+    this serving mode restored)."""
+    if report is not None and report.recovered:
+        print(f"durability: recovered segment "
+              f"{report.snapshot_segment}, replayed "
+              f"{report.replayed_events} events in "
+              f"{report.replay_seconds:.3f} s, {tail(report)}", flush=True)
+
+
+def _print_trace(trace) -> None:
+    if trace is not None:
+        records = list(trace.records)
+        print(f"trace: last {len(records)} interception records")
+        for record in records:
+            print(f"  {record}")
+
+
+def _write_stats_json(target: str | None, stats) -> None:
+    if target:
+        payload = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
+        if target == "-":
+            print(payload)
+        else:
+            Path(target).write_text(payload + "\n", encoding="utf-8")
+            print(f"stats: wrote {target}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -177,41 +214,43 @@ def cmd_run_follow(args: argparse.Namespace, query) -> int:
     return 0
 
 
+def _run_summary(args: argparse.Namespace, engine, result) -> str:
+    """The parenthesised tail of ``run``'s summary line: whatever this
+    engine and its result type have to report."""
+    stats = getattr(result, "stats", None)
+    if stats is None:  # the two baselines carry no speculation stats
+        if hasattr(result, "completion_probability"):
+            return (f"ground-truth completion probability "
+                    f"{result.completion_probability:.0%}")
+        return (f"automaton baseline, "
+                f"{result.events_per_second:,.0f} events/s")
+    extra = (f"k={args.k} scheduler={args.scheduler} "
+             f"versions={stats.versions_created} "
+             f"dropped={stats.versions_dropped} "
+             f"rollbacks={stats.rollbacks}")
+    if hasattr(engine, "adaptations"):
+        extra += f" adaptations={len(engine.adaptations)}"
+    if hasattr(engine, "early"):
+        extra += f" early_emissions={len(engine.early)}"
+    if hasattr(engine, "workers_used"):
+        extra += (f" shards={len(engine.plan)} "
+                  f"workers={engine.workers_used}")
+    return extra
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     query = _load_query(args.query, args.param)
     if args.follow:
         return cmd_run_follow(args, query)
     events = load_events_csv(args.data)
     started = time.perf_counter()
-    if args.engine == "sequential":
-        result = SequentialEngine(query).run(events)
-        complex_events = result.complex_events
-        extra = (f"ground-truth completion probability "
-                 f"{result.completion_probability:.0%}")
-    elif args.engine == "trex":
-        result = _make_engine("trex", query, _make_config(args)).run(events)
-        complex_events = result.complex_events
-        extra = (f"automaton baseline, "
-                 f"{result.events_per_second:,.0f} events/s")
-    else:
-        engine = _make_engine(args.engine, query, _make_config(args))
-        result = engine.run(events)
-        complex_events = result.complex_events
-        stats = result.stats
-        extra = (f"k={args.k} scheduler={args.scheduler} "
-                 f"versions={stats.versions_created} "
-                 f"dropped={stats.versions_dropped} "
-                 f"rollbacks={stats.rollbacks}")
-        if args.engine == "elastic":
-            extra += f" adaptations={len(engine.adaptations)}"
-        elif args.engine == "approximate":
-            extra += f" early_emissions={len(engine.early)}"
-        elif args.engine == "sharded":
-            extra += (f" shards={len(engine.plan)} "
-                      f"workers={engine.workers_used}")
+    engine = build_engine(query, args.engine, config=_make_config(args))
+    result = engine.run(events)
     elapsed = time.perf_counter() - started
+    complex_events = result.complex_events
     print(f"{query.name}: {len(complex_events)} complex events from "
-          f"{len(events)} input events in {elapsed:.2f}s ({extra})")
+          f"{len(events)} input events in {elapsed:.2f}s "
+          f"({_run_summary(args, engine, result)})")
     limit = args.show
     for ce in complex_events[:limit]:
         print(f"  {ce!r}")
@@ -224,8 +263,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     query = _load_query(args.query, args.param)
     events = load_events_csv(args.data)
     sequential = SequentialEngine(query).run(events)
-    engine = _make_engine(args.engine, query, _make_config(args))
-    result = engine.run(events)
+    result = build_engine(query, args.engine,
+                          config=_make_config(args)).run(events)
     label = (f"{args.engine.upper()}(k={args.k}, "
              f"scheduler={args.scheduler})")
     if result.identities() == sequential.identities():
@@ -378,18 +417,11 @@ def cmd_serve_network(args: argparse.Namespace) -> int:
     specs = _parse_query_specs(args.query)
     counts: dict[str, int] = {}
 
-    def make_sink(name: str):
-        def sink(ce) -> None:
-            counts[name] += 1
-            print(f"[{name}] match #{counts[name]}: {ce!r}", flush=True)
-        return sink
-
     async def _run(runtime: ServeRuntime) -> None:
         for name, path in specs:
             query = _load_query(path, args.param, name=name)
-            counts[name] = 0
-            runtime.core.hub.attach(query, engine=args.engine,
-                                    name=name, sink=make_sink(name))
+            runtime.core.hub.attach(query, engine=args.engine, name=name,
+                                    sink=_make_sink(counts, name))
         await runtime.run()
 
     try:
@@ -399,14 +431,10 @@ def cmd_serve_network(args: argparse.Namespace) -> int:
         raise SystemExit(str(error)) from None
     durability = runtime.core.durability
     if durability is not None:
-        report = durability.recovery_report
-        if report is not None and report.recovered:
-            print(f"durability: recovered segment "
-                  f"{report.snapshot_segment}, replayed "
-                  f"{report.replayed_events} events in "
-                  f"{report.replay_seconds:.3f} s, restored "
-                  f"{len(report.restored_attachments)} durable "
-                  f"attachments", flush=True)
+        _print_recovery(
+            durability.recovery_report,
+            lambda report: f"restored {len(report.restored_attachments)} "
+                           f"durable attachments")
     try:
         asyncio.run(_run(runtime))
     except KeyboardInterrupt:
@@ -436,19 +464,8 @@ def cmd_serve_network(args: argparse.Namespace) -> int:
               f"{core.clients_reaped} idle clients reaped, "
               f"{core.slow_disconnects} slow consumers dropped, "
               f"{core.frames_dropped_total} frames shed")
-    if trace is not None:
-        records = list(trace.records)
-        print(f"trace: last {len(records)} interception records")
-        for record in records:
-            print(f"  {record}")
-    if args.stats_json:
-        payload = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
-        if args.stats_json == "-":
-            print(payload)
-        else:
-            Path(args.stats_json).write_text(payload + "\n",
-                                             encoding="utf-8")
-            print(f"stats: wrote {args.stats_json}")
+    _print_trace(trace)
+    _write_stats_json(args.stats_json, stats)
     return 0
 
 
@@ -473,13 +490,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     middleware, validation, ratelimit, metrics, trace = \
         _serve_middleware(args)
     counts: dict[str, int] = {}
-
-    def make_sink(name: str):
-        def sink(ce) -> None:
-            counts[name] = counts.get(name, 0) + 1
-            print(f"[{name}] match #{counts[name]}: {ce!r}", flush=True)
-        return sink
-
     dhub = None
     if args.wal:
         from repro.durability import DurableHub
@@ -490,20 +500,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             fsync=args.wal_fsync,
             slack=args.slack if args.slack is not None else 0.0,
             share=not args.no_share, middleware=middleware,
-            sink_provider=lambda record: make_sink(record["name"]))
+            sink_provider=lambda record: _make_sink(counts,
+                                                    record["name"]))
         hub = dhub.hub
         if hub._flushed:
             raise SystemExit(
                 f"--wal {args.wal}: this WAL holds a completed (flushed) "
                 f"run; point --wal at a fresh directory")
-        report = dhub.recovery_report
-        if report is not None and report.recovered:
-            print(f"durability: recovered segment "
-                  f"{report.snapshot_segment}, replayed "
-                  f"{report.replayed_events} events in "
-                  f"{report.replay_seconds:.3f} s, suppressed "
-                  f"{report.suppressed_matches} already-delivered "
-                  f"matches", flush=True)
+        _print_recovery(
+            dhub.recovery_report,
+            lambda report: f"suppressed {report.suppressed_matches} "
+                           f"already-delivered matches")
     else:
         hub = StreamHub(
             slack=args.slack if args.slack is not None else 0.0,
@@ -516,18 +523,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"[{name}] restored from WAL", flush=True)
                 continue
             query = _load_query(path, args.param, name=name)
-            counts.setdefault(name, 0)
-            # the sequential engine takes no speculation config; passing
-            # one would needlessly disqualify the attachment from the
-            # hub's cross-query optimizer (custom engine options opt out)
-            options = {} if args.engine == "sequential" \
-                else {"config": _make_config(args)}
-            if dhub is not None:
-                dhub.attach(query, engine=args.engine, name=name,
-                            sink=make_sink(name), **options)
-            else:
-                hub.attach(query, engine=args.engine, name=name,
-                           sink=make_sink(name), **options)
+            (hub if dhub is None else dhub).attach(
+                query, engine=args.engine, name=name,
+                sink=_make_sink(counts, name), **_engine_options(args))
     except ValueError as error:
         raise SystemExit(f"bad --query spec: {error}") from None
 
@@ -574,24 +572,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if ratelimit is not None:
         print(f"rate limit: {ratelimit.shed_total} events shed "
               f"(rate={ratelimit.rate:g}/s burst={ratelimit.burst:g})")
-    if trace is not None:
-        records = list(trace.records)
-        print(f"trace: last {len(records)} interception records")
-        for record in records:
-            print(f"  {record}")
+    _print_trace(trace)
     if metrics is not None:
         metrics.observe_stats(stats)
         if dhub is not None:
             metrics.observe_durability(dhub.manager.stats_dict())
         print(metrics.render(), end="")
-    if args.stats_json:
-        payload = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
-        if args.stats_json == "-":
-            print(payload)
-        else:
-            Path(args.stats_json).write_text(payload + "\n",
-                                             encoding="utf-8")
-            print(f"stats: wrote {args.stats_json}")
+    _write_stats_json(args.stats_json, stats)
     return 0
 
 
@@ -713,23 +700,12 @@ def cmd_record(args: argparse.Namespace) -> int:
         args.out, slack=args.slack if args.slack is not None else 0.0,
         share=not args.no_share)
     counts: dict[str, int] = {}
-
-    def make_sink(name: str):
-        def sink(ce) -> None:
-            counts[name] = counts.get(name, 0) + 1
-            if not args.quiet:
-                print(f"[{name}] match #{counts[name]}: {ce!r}",
-                      flush=True)
-        return sink
-
     try:
         for name, path in specs:
             query = _load_query(path, args.param, name=name)
-            counts[name] = 0
-            options = {} if args.engine == "sequential" \
-                else {"config": _make_config(args)}
             hub.attach(query, engine=args.engine, name=name,
-                       sink=make_sink(name), **options)
+                       sink=_make_sink(counts, name, quiet=args.quiet),
+                       **_engine_options(args))
     except ValueError as error:
         raise SystemExit(f"bad --query spec: {error}") from None
     try:
@@ -808,7 +784,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
         raise SystemExit("need at least one --stage name=queryfile")
     events = load_events_csv(args.data)
     config = _make_config(args)
-    op_engine = ENGINE_ALIASES[args.engine]
 
     graph = OperatorGraph()
     graph.add_source("stream")
@@ -816,7 +791,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     for name, path in stages:
         query = _load_query(path, args.param, name=name)
         try:
-            graph.add_operator(Operator(name, query, engine=op_engine,
+            graph.add_operator(Operator(name, query, engine=args.engine,
                                         config=config),
                                upstream=[upstream])
         except ValueError as error:
@@ -889,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True,
                      help="events CSV ('-' reads rows from stdin with "
                           "--follow)")
-    run.add_argument("--engine", choices=list(RUN_ENGINES),
+    run.add_argument("--engine", choices=list(ENGINES),
                      default="spectre")
     _add_speculative_flags(run)
     run.add_argument("--show", type=int, default=5,
@@ -912,8 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
              "engine")
     verify.add_argument("--query", required=True)
     verify.add_argument("--data", required=True)
-    verify.add_argument("--engine", choices=list(SPECULATIVE_ENGINES),
-                        default="spectre")
+    verify.add_argument("--engine", default="spectre",
+                        choices=[name for name, spec in ENGINES.items()
+                                 if spec.takes_config])
     _add_speculative_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
@@ -925,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--stage", action="append", default=[],
                        help="pipeline stage name=queryfile (repeatable, "
                             "in order)")
-    graph.add_argument("--engine", choices=list(GRAPH_ENGINES),
+    graph.add_argument("--engine", choices=list(ENGINES),
                        default="spectre")
     _add_speculative_flags(graph)
     graph.add_argument("--verify", action="store_true",
@@ -944,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="events CSV ('-' reads rows from stdin); "
                             "required in pipe mode, forbidden with "
                             "--tcp/--ws (clients push events instead)")
-    serve.add_argument("--engine", choices=list(RUN_ENGINES),
+    serve.add_argument("--engine", choices=list(ENGINES),
                        default="spectre")
     serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                        help="serve the NDJSON wire protocol over TCP "
@@ -1080,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--param", action="append", default=[],
                         help="query parameter name=value (repeatable, "
                              "applies to every subscription)")
-    client.add_argument("--engine", choices=list(RUN_ENGINES),
+    client.add_argument("--engine", choices=list(ENGINES),
                         default=None,
                         help="engine for the subscriptions (default: "
                              "the server's)")
@@ -1139,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(repeatable; one attachment each)")
     record.add_argument("--data", required=True,
                         help="events CSV ('-' reads rows from stdin)")
-    record.add_argument("--engine", choices=list(RUN_ENGINES),
+    record.add_argument("--engine", choices=list(ENGINES),
                         default="sequential")
     _add_speculative_flags(record)
     record.add_argument("--poll", type=float, default=0.0,

@@ -240,14 +240,18 @@ def read_wal(path: Path | str) -> WalReadResult:
     """Scan one segment, tolerating a torn tail.
 
     Stops at the first short read, CRC mismatch or undecodable
-    payload; everything before it is the clean prefix.  A file without
-    the magic header raises :class:`WalError` — that is not a torn
-    tail, it is not a WAL.
+    payload; everything before it is the clean prefix.  An empty file
+    is a segment whose writer died before its header reached the OS: a
+    torn tail with no clean prefix.  Any other file without the magic
+    header raises :class:`WalError` — that is not a WAL.
     """
     path = Path(path)
     result = WalReadResult()
     with open(path, "rb") as fh:
         magic = fh.read(len(WAL_MAGIC))
+        if not magic:
+            result.torn, result.torn_reason = True, "empty segment"
+            return result
         if magic != WAL_MAGIC:
             raise WalError(f"{path} is not a WAL segment "
                            f"(bad magic {magic[:10]!r})")

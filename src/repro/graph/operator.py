@@ -6,9 +6,8 @@ streams and detects a designated part of an event pattern [...]  If such
 a pattern is detected, a new (complex) event is produced and emitted to
 successor operators or to a consumer."
 
-An :class:`Operator` wraps a query plus an engine choice — the
-sequential baseline or any variant of the layered speculative runtime
-(simulated, threaded, elastic, approximate) — and exposes uniform
+An :class:`Operator` wraps a query plus an engine choice — any name
+of :data:`repro.streaming.builder.ENGINES` — and exposes uniform
 ``process(events) -> list[Event]`` semantics: emitted complex events are
 re-materialised as primitive events (type = the operator's output type,
 payload = the complex event's attributes plus provenance) so that
@@ -27,47 +26,8 @@ from typing import Iterable, Optional
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
 from repro.patterns.query import Query
-from repro.sequential.engine import SequentialEngine
 from repro.spectre.config import SpectreConfig
-from repro.spectre.engine import SpectreEngine
-from repro.utils.validation import require
-
-
-def _spectre(query: Query, config: SpectreConfig):
-    return SpectreEngine(query, config)
-
-
-def _spectre_threaded(query: Query, config: SpectreConfig):
-    from repro.spectre.threaded import ThreadedSpectreEngine
-    return ThreadedSpectreEngine(query, config)
-
-
-def _spectre_elastic(query: Query, config: SpectreConfig):
-    from repro.spectre.elasticity import ElasticSpectreEngine
-    return ElasticSpectreEngine(query, config=config)
-
-
-def _spectre_approximate(query: Query, config: SpectreConfig):
-    from repro.spectre.approximate import ApproximateSpectreEngine
-    return ApproximateSpectreEngine(query, config)
-
-
-def _spectre_sharded(query: Query, config: SpectreConfig):
-    from repro.runtime.sharding import ShardedSpectreEngine
-    return ShardedSpectreEngine(query, config)  # workers = config.workers
-
-
-# single registry for every speculative engine variant: the operator
-# graph and the CLI both dispatch through it
-ENGINE_FACTORIES = {
-    "spectre": _spectre,
-    "spectre-threaded": _spectre_threaded,
-    "spectre-elastic": _spectre_elastic,
-    "spectre-approximate": _spectre_approximate,
-    "spectre-sharded": _spectre_sharded,
-}
-
-ENGINES = ("sequential",) + tuple(ENGINE_FACTORIES)
+from repro.streaming.builder import build_engine, engine_spec
 
 
 @dataclass
@@ -94,33 +54,24 @@ class Operator:
         Event type of the re-materialised complex events (defaults to the
         operator name).
     engine:
-        One of :data:`ENGINES`.  The non-sequential choices all run on
-        the layered speculative runtime; ``spectre-approximate``
-        contributes its *consistent* (final) output downstream, the
-        early speculative stream stays in ``last_report``-level engine
-        state.
+        Any :data:`repro.streaming.builder.ENGINES` name.
+        ``approximate`` contributes its *consistent* (final) output
+        downstream; the early speculative stream stays in engine state.
     config:
-        SPECTRE configuration (ignored by the sequential engine).
+        SPECTRE configuration (ignored by engines that take none).
     """
 
     def __init__(self, name: str, query: Query,
                  output_type: Optional[str] = None,
                  engine: str = "spectre",
                  config: SpectreConfig | None = None) -> None:
-        require(engine in ENGINES, f"engine must be one of {ENGINES}")
+        engine_spec(engine)
         self.name = name
         self.query = query
         self.output_type = output_type or name
         self.engine = engine
         self.config = config or SpectreConfig()
         self.last_report: Optional[OperatorReport] = None
-
-    def _detect(self, events: list[Event], engine: str,
-                config: SpectreConfig) -> list[ComplexEvent]:
-        if engine == "sequential":
-            return SequentialEngine(self.query).run(events).complex_events
-        factory = ENGINE_FACTORIES[engine]
-        return factory(self.query, config).run(events).complex_events
 
     def materialize(self, complex_events: Iterable[ComplexEvent],
                     seq_start: int = 0) -> list[Event]:
@@ -160,12 +111,11 @@ class Operator:
         ``engine``/``config`` override the operator's own choices for
         this run (graph-level overrides, see :meth:`OperatorGraph.run`).
         """
-        if engine is not None:
-            require(engine in ENGINES, f"engine must be one of {ENGINES}")
         engine = engine or self.engine
-        config = config or self.config
         events = list(events)
-        complex_events = self._detect(events, engine, config)
+        complex_events = build_engine(
+            self.query, engine,
+            config=config or self.config).run(events).complex_events
         output = self.materialize(complex_events)
         self.last_report = OperatorReport(
             name=self.name,
@@ -179,8 +129,6 @@ class Operator:
     def open(self, engine: Optional[str] = None,
              config: SpectreConfig | None = None) -> "OperatorSession":
         """Open a streaming session on this operator (one per stream)."""
-        if engine is not None:
-            require(engine in ENGINES, f"engine must be one of {ENGINES}")
         return OperatorSession(self, engine or self.engine,
                                config or self.config)
 
@@ -201,10 +149,7 @@ class OperatorSession:
                  config: SpectreConfig) -> None:
         self.operator = operator
         self.engine_name = engine
-        if engine == "sequential":
-            self._engine = SequentialEngine(operator.query)
-        else:
-            self._engine = ENGINE_FACTORIES[engine](operator.query, config)
+        self._engine = build_engine(operator.query, engine, config=config)
         self.session = self._engine.open()
         self._staged: list[tuple[float, int, int, ComplexEvent]] = []
         self._emit_index = 0

@@ -88,6 +88,7 @@ from repro.utils.validation import require
 from repro.windows.specs import EverySlide
 
 _NO_EVENTS: list[Event] = []
+_INF = float("inf")
 
 
 def _json_safe(value):
@@ -250,6 +251,9 @@ class Attachment:
         self._live = False
         self._member = member
         self._routed_types = routed_types
+        # earliest expiry among the routed session's live time windows
+        # (unknown until the first routed delivery: offer, then learn)
+        self._routed_expiry = -_INF
         self.events_offered = 0
         self.events_skipped_by_index = 0
         # durability/recovery state: ``_admit_floor`` keeps a restored
@@ -298,12 +302,32 @@ class Attachment:
                 return 0
         return self._deliver(events)
 
-    def _offer_routed(self, events: list[Event], total: int) -> int:
+    def _offer_routed(self, events: list[Event],
+                      released: list[Event]) -> int:
         """Fan-out for a live routed attachment: the hub's type index
         already classified the chunk; ``events`` is the interested
-        subset, ``total`` the full released-chunk size."""
-        self.events_skipped_by_index += total - len(events)
-        return self._deliver(events)
+        subset of ``released``.
+
+        The attachment must still see time pass: when the chunk's last
+        event was filtered out but lies beyond the expiry of a window
+        that is open (or that ``events`` may open), it is offered too.
+        By the routing precondition it is irrelevant, so it can only
+        close windows — their matches surface on this push, exactly as
+        on an unrouted hub."""
+        last = released[-1]
+        duration = self.query.window.scope.duration
+        if not events or events[-1] is not last:
+            expiry = self._routed_expiry if not events else \
+                min(self._routed_expiry, events[0].timestamp + duration)
+            if last.timestamp > expiry:
+                events = events + [last]
+        self.events_skipped_by_index += len(released) - len(events)
+        if not events:
+            return 0
+        delivered = self._deliver(events)
+        self._routed_expiry = duration + min(
+            self.session.inner._live_window_starts(), default=_INF)
+        return delivered
 
     def _deliver(self, events: list[Event]) -> int:
         """Hand admitted events to the session as one ``push_many``."""
@@ -566,10 +590,9 @@ class StreamHub:
         MATCH-RECOGNIZE text (parsed via
         :func:`~repro.patterns.parser.parse_query` with ``params``).
         ``engine`` plus ``engine_options`` go through
-        :func:`~repro.streaming.builder.build_engine` — any registered
-        engine (``sequential``, ``spectre``, ``threaded``, ``elastic``,
-        ``approximate``, ``sharded``, ``trex``) with its usual options
-        (``k=``, ``scheduler=``, ``workers=``, ``config=``, ...).
+        :func:`~repro.streaming.builder.build_engine` — any name of
+        its :data:`~repro.streaming.builder.ENGINES` table with that
+        engine's options (``k=``, ``scheduler=``, ``config=``, ...).
         ``sink`` is one callback or an iterable of callbacks invoked
         per validated match (isolated: a raising sink never starves the
         others); without sinks, matches buffer in the bounded queue.
@@ -755,8 +778,7 @@ class StreamHub:
             if buckets is not None and attachment._live and \
                     attachment._routed_types is not None:
                 delivered += attachment._offer_routed(
-                    buckets.get(attachment.name, _NO_EVENTS),
-                    len(released))
+                    buckets.get(attachment.name, _NO_EVENTS), released)
             else:
                 delivered += attachment._offer_many(released,
                                                     first_position)

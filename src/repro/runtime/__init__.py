@@ -37,7 +37,6 @@ from repro.runtime.sharding import (
     ShardedSpectreEngine,
     ShardPlan,
     plan_shards,
-    run_spectre_sharded,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "ShardPlan",
     "ShardedSpectreEngine",
     "plan_shards",
-    "run_spectre_sharded",
     "Scheduler",
     "TopKProbabilityScheduler",
     "FifoScheduler",

@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.events.event import Event
-from repro.streaming.session import Session, drive
+from repro.streaming.session import Session, run_batch
 from repro.utils.validation import require
 from repro.windows.splitter import Splitter
 
@@ -260,17 +260,12 @@ class ShardedSpectreEngine:
         """
         return ShardedSession(self, eager=eager, gc=gc)
 
-    def run(self, events: Iterable[Event]) -> "SpectreResult":
+    def run(self, events: Iterable[Event],
+            **open_options) -> "SpectreResult":
         """Process a finite stream to completion; return the merged
         result (``virtual_time`` is the longest shard's virtual clock —
-        the parallel makespan).
-
-        Thin batch wrapper over the session API:
-        ``open(eager=False)`` → ``push*`` → ``flush()``.
-        """
-        with self.open(eager=False) as session:
-            drive(session, events)
-            return session.result()
+        the parallel makespan)."""
+        return run_batch(self, events, **open_options)
 
     def _run_batch(self, events: Iterable[Event]) -> "SpectreResult":
         """The historical batch path (plan → fork workers → merge)."""
@@ -520,19 +515,3 @@ class ShardedSession(Session):
             return frozenset()
         return frozenset().union(
             *(outcome.consumed_seqs for outcome in self.outcomes))
-
-
-def run_spectre_sharded(query: "Query", events: Iterable[Event],
-                        config: "SpectreConfig | None" = None,
-                        workers: Optional[int] = None) -> "SpectreResult":
-    """Deprecated: use ``repro.pipeline(query).engine("sharded")``
-    (or ``ShardedSpectreEngine(query, config, workers=...).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_spectre_sharded() is deprecated; use repro.pipeline(query)"
-        ".engine('sharded', config=config, workers=workers).run(events) "
-        "— or .open() for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("sharded", config=config,
-                                  workers=workers).run(events)

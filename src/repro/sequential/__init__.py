@@ -4,12 +4,10 @@ from repro.sequential.engine import (
     SequentialEngine,
     SequentialResult,
     ground_truth_completion_probability,
-    run_sequential,
 )
 
 __all__ = [
     "SequentialEngine",
     "SequentialResult",
-    "run_sequential",
     "ground_truth_completion_probability",
 ]

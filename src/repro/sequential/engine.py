@@ -29,7 +29,7 @@ from repro.consumption.ledger import ConsumptionLedger
 from repro.matching.base import Feedback
 from repro.matching.kernel import classifier_for
 from repro.patterns.query import Query
-from repro.streaming.session import Session, drive
+from repro.streaming.session import Session, run_batch
 from repro.windows.splitter import Splitter
 from repro.windows.window import Window
 
@@ -123,15 +123,11 @@ class SequentialEngine:
         """Open a push-based streaming session (Engine protocol)."""
         return SequentialSession(self, eager=eager, gc=gc)
 
-    def run(self, events: Iterable[Event]) -> SequentialResult:
-        """Process a finite stream to completion.
-
-        Thin batch wrapper over the session API:
-        ``open(eager=False)`` → ``push*`` → ``flush()``.
-        """
-        with self.open(eager=False) as session:
-            drive(session, events)
-            return session.result()
+    def run(self, events: Iterable[Event],
+            **open_options) -> SequentialResult:
+        """Process a finite stream to completion (a lazy session,
+        driven and flushed)."""
+        return run_batch(self, events, **open_options)
 
     def _process_window(self, window: Window, ledger: ConsumptionLedger,
                         result: SequentialResult,
@@ -183,19 +179,7 @@ class SequentialEngine:
             ))
 
 
-def run_sequential(query: Query, events: Iterable[Event]) -> SequentialResult:
-    """Deprecated: use ``repro.pipeline(query).engine("sequential")``
-    (or ``SequentialEngine(query).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_sequential() is deprecated; use repro.pipeline(query)"
-        ".engine('sequential').run(events) — or .open() for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("sequential").run(events)
-
-
 def ground_truth_completion_probability(
         query: Query, events: Sequence[Event]) -> float:
     """The Fig. 10(d)/(e) measurement as a standalone helper."""
-    return run_sequential(query, events).completion_probability
+    return SequentialEngine(query).run(events).completion_probability

@@ -4,21 +4,18 @@ from repro.spectre.approximate import (
     ApproximateResult,
     ApproximateSpectreEngine,
     EarlyEmission,
-    run_spectre_approximate,
 )
 from repro.spectre.config import CostModel, MarkovParams, SpectreConfig
 from repro.spectre.elasticity import (
     ElasticityPolicy,
     ElasticSpectreEngine,
-    run_spectre_elastic,
 )
 from repro.spectre.engine import (
     RunStats,
     SpectreEngine,
     SpectreResult,
-    run_spectre,
 )
-from repro.spectre.threaded import ThreadedSpectreEngine, run_spectre_threaded
+from repro.spectre.threaded import ThreadedSpectreEngine
 from repro.spectre.prediction import (
     CompletionPredictor,
     FixedPredictor,
@@ -35,16 +32,12 @@ __all__ = [
     "SpectreEngine",
     "SpectreResult",
     "RunStats",
-    "run_spectre",
     "ThreadedSpectreEngine",
-    "run_spectre_threaded",
     "ApproximateSpectreEngine",
     "ApproximateResult",
     "EarlyEmission",
-    "run_spectre_approximate",
     "ElasticSpectreEngine",
     "ElasticityPolicy",
-    "run_spectre_elastic",
     "MarkovPredictor",
     "FixedPredictor",
     "CompletionPredictor",

@@ -134,24 +134,3 @@ class ApproximateSpectreEngine(SpectreEngine):
         """Run to completion; return final + early output."""
         final = self.run(events)
         return ApproximateResult(final=final, early=self.early)
-
-
-def run_spectre_approximate(query: Query, events: Iterable[Event],
-                            config: SpectreConfig | None = None,
-                            emission_threshold: float = 0.9
-                            ) -> ApproximateResult:
-    """Deprecated: use ``repro.pipeline(query).engine("approximate")``
-    (or ``ApproximateSpectreEngine(...).run_approximate/open``)."""
-    import warnings
-    warnings.warn(
-        "run_spectre_approximate() is deprecated; use "
-        "repro.pipeline(query).engine('approximate', config=config, "
-        "emission_threshold=...).run(events) — or .open() for streaming; "
-        "early emissions live on the engine (ApproximateSpectreEngine"
-        ".run_approximate keeps returning both streams)",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import build_engine
-    engine = build_engine(query, "approximate", config=config,
-                          emission_threshold=emission_threshold)
-    final = engine.run(events)  # session-backed batch wrapper
-    return ApproximateResult(final=final, early=engine.early)

@@ -20,12 +20,10 @@ without losing throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.events.event import Event
 from repro.patterns.query import Query
 from repro.spectre.config import SpectreConfig
-from repro.spectre.engine import SpectreEngine, SpectreResult
+from repro.spectre.engine import SpectreEngine
 from repro.utils.validation import require
 
 
@@ -73,12 +71,18 @@ class ElasticSpectreEngine(SpectreEngine):
     """SPECTRE whose instance count follows an :class:`ElasticityPolicy`.
 
     The engine starts at ``policy.plateau_k`` (the conservative choice)
-    and re-evaluates every ``policy.period`` cycles.
+    and re-evaluates every ``policy.period`` cycles.  Given a ``config``
+    but no ``policy``, ``config.k`` is the resource budget: the policy
+    may shrink the instance count but never exceed what the user
+    granted.
     """
 
     def __init__(self, query: Query, policy: ElasticityPolicy | None = None,
                  config: SpectreConfig | None = None,
                  scheduler=None) -> None:
+        if policy is None and config is not None:
+            policy = ElasticityPolicy(max_k=config.k,
+                                      plateau_k=min(8, config.k))
         self.policy = policy or ElasticityPolicy()
         config = config or SpectreConfig(k=self.policy.plateau_k)
         super().__init__(query, config, scheduler=scheduler)
@@ -100,18 +104,3 @@ class ElasticSpectreEngine(SpectreEngine):
                 completion_probability=probability,
                 k=recommended,
             ))
-
-
-def run_spectre_elastic(query: Query, events: Iterable[Event],
-                        policy: ElasticityPolicy | None = None
-                        ) -> SpectreResult:
-    """Deprecated: use ``repro.pipeline(query).engine("elastic")``
-    (or ``ElasticSpectreEngine(query, policy).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_spectre_elastic() is deprecated; use repro.pipeline(query)"
-        ".engine('elastic', policy=policy).run(events) — or .open() "
-        "for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("elastic", policy=policy).run(events)

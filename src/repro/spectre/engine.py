@@ -55,7 +55,7 @@ from repro.spectre.prediction import (
     MarkovPredictor,
 )
 from repro.spectre.version import WindowVersion
-from repro.streaming.session import Session, drive
+from repro.streaming.session import Session, run_batch
 from repro.utils.ids import IdGenerator
 from repro.windows.splitter import Splitter
 from repro.windows.window import Window
@@ -321,16 +321,12 @@ class SpectreEngine:
         return SpectreSession(self, eager=eager, gc=gc,
                               max_cycles=max_cycles)
 
-    def run(self, events: Iterable[Event],
-            max_cycles: int = 50_000_000) -> SpectreResult:
-        """Process a finite stream to completion; return the result.
-
-        Thin batch wrapper over the session API:
-        ``open(eager=False)`` → ``push*`` → ``flush()``.
-        """
-        with self.open(eager=False, max_cycles=max_cycles) as session:
-            drive(session, events)
-            return session.result()
+    def run(self, events: Iterable[Event], **open_options) -> SpectreResult:
+        """Process a finite stream to completion; return the result
+        (a lazy session, driven and flushed; ``open_options`` as for
+        :meth:`open`: ``max_cycles=``, on the threaded engine
+        ``timeout_seconds=``, whose ``virtual_time`` is wall-clock)."""
+        return run_batch(self, events, **open_options)
 
     # ------------------------------------------------------------------
     # splitter side
@@ -709,17 +705,3 @@ class SpectreSession(Session):
     @property
     def _splitter(self):  # watermark support (base class hook)
         return self.engine._splitter
-
-
-def run_spectre(query: Query, events: Iterable[Event],
-                config: SpectreConfig | None = None) -> SpectreResult:
-    """Deprecated: use ``repro.pipeline(query).engine("spectre")``
-    (or ``SpectreEngine(query, config).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_spectre() is deprecated; use repro.pipeline(query)"
-        ".engine('spectre', config=config).run(events) — or .open() "
-        "for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("spectre", config=config).run(events)

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable
 
-from repro.events.event import Event
 from repro.patterns.query import Query
 from repro.runtime.scheduler import Scheduler
 from repro.spectre.config import SpectreConfig
-from repro.spectre.engine import SpectreEngine, SpectreResult, SpectreSession
+from repro.spectre.engine import SpectreEngine, SpectreSession
 from repro.spectre.prediction import CompletionPredictor
-from repro.streaming.session import drive
 
 
 class LockedPredictor:
@@ -111,19 +108,6 @@ class ThreadedSpectreEngine(SpectreEngine):
         return ThreadedSession(self, eager=eager, gc=gc,
                                timeout_seconds=timeout_seconds)
 
-    def run(self, events: Iterable[Event],
-            timeout_seconds: float = 300.0) -> SpectreResult:
-        """Process a finite stream with real threads; returns like the
-        simulated engine (virtual_time is wall-clock seconds here).
-
-        Thin batch wrapper over the session API:
-        ``open(eager=False)`` → ``push*`` → ``flush()``.
-        """
-        with self.open(eager=False,
-                       timeout_seconds=timeout_seconds) as session:
-            drive(session, events)
-            return session.result()
-
 
 class ThreadedSession(SpectreSession):
     """Push-based driving of the real-thread runtime.
@@ -186,18 +170,3 @@ class ThreadedSession(SpectreSession):
         for worker in self._workers:
             worker.join(timeout=5.0)
         self._workers = []
-
-
-def run_spectre_threaded(query: Query, events: Iterable[Event],
-                         config: SpectreConfig | None = None
-                         ) -> SpectreResult:
-    """Deprecated: use ``repro.pipeline(query).engine("threaded")``
-    (or ``ThreadedSpectreEngine(query, config).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_spectre_threaded() is deprecated; use repro.pipeline(query)"
-        ".engine('threaded', config=config).run(events) — or .open() "
-        "for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("threaded", config=config).run(events)

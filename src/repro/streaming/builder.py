@@ -19,21 +19,26 @@ chain:
 
 The builder is *policy-free middleware* in the Dearle et al. sense: the
 interface fixes nothing about the deployment.  ``engine()`` swaps the
-runtime (sequential baseline, simulated/threaded/elastic/approximate
-speculation, process-sharded, T-REX) without touching the rest of the
+runtime (any :data:`ENGINES` name) without touching the rest of the
 chain; ``out_of_order()`` composes the
 :class:`~repro.events.ooo.SlackSorter` in front of the engine, so
 nearly-ordered sources work against every runtime; ``sink()`` registers
 callbacks invoked per validated complex event.
 
 ``run(events)`` is the batch form: a lazy session drive that returns
-the engine-native result object — the same object the deprecated
-``run_*`` helpers used to return, which is how those helpers now route
-through this facade.
+the engine-native result object — ``run_batch`` in
+:mod:`repro.streaming.session`, the call every engine's ``run`` makes.
+
+This module is also the one home of the *engine* concept:
+:data:`ENGINES` is the only table of engine names in the package.  The
+builder, the operator graph, the hub and every ``--engine`` flag of the
+CLI read it and nothing else.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.events.complex_event import ComplexEvent
@@ -42,96 +47,95 @@ from repro.events.ooo import SlackSorter
 from repro.middleware.base import Middleware
 from repro.middleware.sinks import SinkDispatchMiddleware, SinkError
 from repro.patterns.query import Query
-from repro.streaming.session import Session, drive
+from repro.streaming.session import Session, run_batch
 from repro.utils.validation import require
 
 __all__ = [
-    "ENGINE_ALIASES",
+    "ENGINES",
+    "EngineSpec",
     "Pipeline",
     "PipelineSession",
     "SinkError",  # canonical home: repro.middleware.sinks
     "build_engine",
+    "engine_spec",
     "pipeline",
 ]
 
-# public/CLI alias -> canonical registry name
-ENGINE_ALIASES = {
-    "sequential": "sequential",
-    "trex": "trex",
-    "spectre": "spectre",
-    "threaded": "spectre-threaded",
-    "spectre-threaded": "spectre-threaded",
-    "elastic": "spectre-elastic",
-    "spectre-elastic": "spectre-elastic",
-    "approximate": "spectre-approximate",
-    "spectre-approximate": "spectre-approximate",
-    "sharded": "spectre-sharded",
-    "spectre-sharded": "spectre-sharded",
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """One row of :data:`ENGINES`: where the engine class lives and what
+    its constructor takes besides the query."""
+
+    # "module:Class", imported on first use — the engine modules import
+    # repro.streaming for the session base, so importing them from here
+    # at module level would be circular
+    target: str
+    takes_config: bool = True     # a SpectreConfig (k=, scheduler=, ...)
+    extra: Optional[str] = None   # its one engine-specific keyword
+
+    def load(self):
+        module, _, attribute = self.target.partition(":")
+        return getattr(import_module(module), attribute)
+
+
+ENGINES = {
+    "sequential": EngineSpec("repro.sequential.engine:SequentialEngine",
+                             takes_config=False),
+    "trex": EngineSpec("repro.trex.engine:TRexEngine", takes_config=False),
+    "spectre": EngineSpec("repro.spectre.engine:SpectreEngine"),
+    "threaded": EngineSpec("repro.spectre.threaded:ThreadedSpectreEngine"),
+    "elastic": EngineSpec("repro.spectre.elasticity:ElasticSpectreEngine",
+                          extra="policy"),
+    "approximate": EngineSpec(
+        "repro.spectre.approximate:ApproximateSpectreEngine",
+        extra="emission_threshold"),
+    "sharded": EngineSpec("repro.runtime.sharding:ShardedSpectreEngine",
+                          extra="workers"),
 }
+
+
+def engine_spec(name: str) -> EngineSpec:
+    """The :data:`ENGINES` row for ``name``; an unknown name raises the
+    one ``ValueError`` every layer reports."""
+    spec = ENGINES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown engine {name!r}; expected one of "
+                         f"{list(ENGINES)}")
+    return spec
 
 
 def build_engine(query: Query, name: str = "spectre", *,
                  config=None, policy=None, emission_threshold=None,
                  workers=None, **config_options):
-    """Instantiate an engine by (aliased) name.
+    """Instantiate the :data:`ENGINES` entry ``name``.
 
     ``config_options`` are :class:`~repro.spectre.config.SpectreConfig`
     fields (``k=4, scheduler="fifo", workers=2, ...``); alternatively
-    pass a ready ``config=``.  ``policy`` configures the elastic engine
-    (when ``k``/``config`` is given it defaults to honouring ``k`` as
-    the resource budget, like the CLI); ``emission_threshold``
-    configures the approximate engine; ``workers`` overrides the sharded
-    engine's process count.
+    pass a ready ``config=`` (engines that take none ignore both).
+    The remaining keywords each belong to the one engine whose row
+    names them as ``extra`` and are refused everywhere else:
+    ``policy`` (elastic; without one, ``k`` is the resource budget),
+    ``emission_threshold`` (approximate), ``workers`` (sharded: the
+    process count, overriding the config field).
     """
-    canonical = ENGINE_ALIASES.get(name)
-    if canonical is None:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of "
-            f"{sorted(set(ENGINE_ALIASES))}")
-    require(policy is None or canonical == "spectre-elastic",
-            "policy= only applies to the elastic engine")
-    require(emission_threshold is None
-            or canonical == "spectre-approximate",
-            "emission_threshold= only applies to the approximate engine")
-    require(workers is None or canonical == "spectre-sharded",
-            "workers= only applies to the sharded engine "
-            "(or pass it as a SpectreConfig field)")
-    if canonical == "sequential":
-        from repro.sequential.engine import SequentialEngine
-        return SequentialEngine(query)
-    if canonical == "trex":
-        from repro.trex.engine import TRexEngine
-        return TRexEngine(query)
-
-    from repro.spectre.config import SpectreConfig
-    config_given = config is not None or bool(config_options)
-    if config is None:
+    spec = engine_spec(name)
+    given = {"policy": policy, "emission_threshold": emission_threshold,
+             "workers": workers}
+    for keyword, value in given.items():
+        require(value is None or keyword == spec.extra,
+                f"{keyword}= does not apply to the {name} engine")
+    factory = spec.load()
+    if not spec.takes_config:
+        return factory(query)
+    if config_options:
+        require(config is None, "pass either config= or individual "
+                                "SpectreConfig field overrides, not both")
+        from repro.spectre.config import SpectreConfig
         config = SpectreConfig(**config_options)
-    elif config_options:
-        raise ValueError("pass either config= or individual "
-                         "SpectreConfig field overrides, not both")
-    if canonical == "spectre-elastic":
-        from repro.spectre.elasticity import (
-            ElasticityPolicy,
-            ElasticSpectreEngine,
-        )
-        if policy is None and config_given:
-            # honour k as the resource budget: the policy may shrink the
-            # instance count but never exceed what the user granted
-            policy = ElasticityPolicy(max_k=config.k,
-                                      plateau_k=min(8, config.k))
-        return ElasticSpectreEngine(
-            query, policy, config=config if config_given else None)
-    if canonical == "spectre-approximate":
-        from repro.spectre.approximate import ApproximateSpectreEngine
-        kwargs = {} if emission_threshold is None else \
-            {"emission_threshold": emission_threshold}
-        return ApproximateSpectreEngine(query, config, **kwargs)
-    if canonical == "spectre-sharded":
-        from repro.runtime.sharding import ShardedSpectreEngine
-        return ShardedSpectreEngine(query, config, workers=workers)
-    from repro.graph.operator import ENGINE_FACTORIES
-    return ENGINE_FACTORIES[canonical](query, config)
+    extra = {} if spec.extra is None or given[spec.extra] is None \
+        else {spec.extra: given[spec.extra]}
+    return factory(query, config=config, **extra)
 
 
 class PipelineSession(Session):
@@ -223,12 +227,10 @@ class Pipeline:
         self._middleware: list[Middleware] = []
 
     def engine(self, name: str = "spectre", **options) -> "Pipeline":
-        """Choose the runtime: any :data:`ENGINE_ALIASES` name plus
+        """Choose the runtime: any :data:`ENGINES` name plus
         engine/config options (``k=``, ``scheduler=``, ``workers=``,
         ``config=``, ``policy=``, ``emission_threshold=``)."""
-        require(name in ENGINE_ALIASES,
-                f"unknown engine {name!r}; expected one of "
-                f"{sorted(set(ENGINE_ALIASES))}")
+        engine_spec(name)
         self._engine_name = name
         self._engine_options = options
         return self
@@ -268,12 +270,10 @@ class Pipeline:
         return PipelineSession(inner, sorter, tuple(self._sinks),
                                middleware=tuple(self._middleware))
 
-    def run(self, events: Iterable[Event]):
+    def run(self, events: Iterable[Event], **open_options):
         """Batch convenience: drive a lazy session over a finite stream
         and return the engine-native result (sinks fire at flush)."""
-        with self.open(eager=False) as session:
-            drive(session, events)
-            return session.result()
+        return run_batch(self, events, **open_options)
 
 
 def pipeline(query: Query) -> Pipeline:

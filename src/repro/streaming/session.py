@@ -15,11 +15,11 @@ validated.  This module is the public face of that fact — a
         session.flush()                      # end-of-stream: trailing windows
     result = session.result()                # engine-native result object
 
-Every engine in the repo (sequential, spectre, threaded, elastic,
-approximate, sharded, trex) implements the :class:`Engine` protocol —
-``open() -> Session`` — and its batch ``run()`` is a thin wrapper over
-``open(eager=False)`` + ``push*`` + ``flush()``, so batch and streaming
-share one code path and one correctness contract.
+Every engine in the repo (the :data:`repro.streaming.builder.ENGINES`
+table) implements the :class:`Engine` protocol — ``open() -> Session`` —
+and its batch ``run()`` is :func:`run_batch`: ``open(eager=False)`` +
+``push*`` + ``flush()``, so batch and streaming share one code path and
+one correctness contract.
 
 Two driving modes:
 
@@ -416,15 +416,25 @@ class Engine(Protocol):
 
     def open(self, *, eager: bool = ...) -> Session: ...
 
-    def run(self, events: Iterable[Event]): ...
+    def run(self, events: Iterable[Event], **open_options): ...
 
 
 def drive(session: Session, events: Iterable[Event]) -> list[ComplexEvent]:
     """Push ``events`` through ``session`` one at a time and flush;
-    return all matches in emission order.  Convenience used by the
-    batch wrappers (``Engine.run``/``Pipeline.run``) and tests."""
+    return all matches in emission order.  Convenience used by
+    :func:`run_batch` and tests."""
     matches: list[ComplexEvent] = []
     for event in events:
         matches.extend(session.push(event))
     matches.extend(session.flush())
     return matches
+
+
+def run_batch(source, events: Iterable[Event], **open_options):
+    """The one batch ``run``: a batch is a pre-recorded stream.  Open a
+    lazy session on ``source`` (an engine or a ``Pipeline``), drive it
+    over ``events`` and return the engine-native result.  Every
+    ``run(events, **open_options)`` in the repo is this call."""
+    with source.open(eager=False, **open_options) as session:
+        drive(session, events)
+        return session.result()

@@ -23,7 +23,7 @@ from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
 from repro.matching.kernel import classifier_for
 from repro.patterns.query import Query
-from repro.streaming.session import Session, drive
+from repro.streaming.session import Session, run_batch
 from repro.trex.automaton import compile_detector
 from repro.windows.splitter import Splitter
 from repro.windows.window import Window
@@ -138,24 +138,7 @@ class TRexEngine:
         """Open a push-based streaming session (Engine protocol)."""
         return TRexSession(self, eager=eager, gc=gc)
 
-    def run(self, events: Iterable[Event]) -> TRexResult:
-        """Process a finite stream to completion.
-
-        Thin batch wrapper over the session API:
-        ``open(eager=False)`` → ``push*`` → ``flush()``.
-        """
-        with self.open(eager=False) as session:
-            drive(session, events)
-            return session.result()
-
-
-def run_trex(query: Query, events: Iterable[Event]) -> TRexResult:
-    """Deprecated: use ``repro.pipeline(query).engine("trex")``
-    (or ``TRexEngine(query).run/open``)."""
-    import warnings
-    warnings.warn(
-        "run_trex() is deprecated; use repro.pipeline(query)"
-        ".engine('trex').run(events) — or .open() for streaming",
-        DeprecationWarning, stacklevel=2)
-    from repro.streaming.builder import pipeline
-    return pipeline(query).engine("trex").run(events)
+    def run(self, events: Iterable[Event], **open_options) -> TRexResult:
+        """Process a finite stream to completion (a lazy session,
+        driven and flushed)."""
+        return run_batch(self, events, **open_options)

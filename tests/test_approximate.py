@@ -4,12 +4,9 @@ import pytest
 
 from repro.datasets import generate_nyse, leading_symbols
 from repro.queries import make_q1
-from repro.sequential import run_sequential
 from repro.spectre import SpectreConfig
-from repro.spectre.approximate import (
-    ApproximateSpectreEngine,
-    run_spectre_approximate,
-)
+from repro.spectre.approximate import ApproximateSpectreEngine
+from repro.streaming.builder import pipeline
 
 
 @pytest.fixture(scope="module")
@@ -22,21 +19,26 @@ def query():
     return make_q1(q=8, window_size=300, leading_symbols=leading_symbols(2))
 
 
+def approximate(query, events, threshold=0.9, k=4):
+    """Final + early streams (the early one lives on the engine, so the
+    fluent ``run`` — final stream only — cannot return it)."""
+    return ApproximateSpectreEngine(
+        query, SpectreConfig(k=k),
+        emission_threshold=threshold).run_approximate(events)
+
+
 class TestApproximateEmission:
     def test_final_output_unchanged(self, nyse, query):
-        expected = run_sequential(query, nyse).identities()
-        result = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=0.7)
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
+        result = approximate(query, nyse, 0.7)
         assert result.final.identities() == expected
 
     def test_high_threshold_high_precision(self, nyse, query):
-        result = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=0.95)
+        result = approximate(query, nyse, 0.95)
         assert result.precision >= 0.9
 
     def test_early_emissions_exist(self, nyse, query):
-        result = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=0.7)
+        result = approximate(query, nyse, 0.7)
         assert len(result.early) > 0
         for emission in result.early:
             assert emission.survival_probability >= 0.7
@@ -44,20 +46,16 @@ class TestApproximateEmission:
     def test_recall_complete_at_any_threshold(self, nyse, query):
         # every final event passes through a version whose survival
         # probability reaches 1.0 at the latest when it becomes root
-        result = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=1.0)
+        result = approximate(query, nyse, 1.0)
         assert result.recall == 1.0
 
     def test_lower_threshold_not_less_early(self, nyse, query):
-        strict = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=0.99)
-        loose = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                        emission_threshold=0.5)
+        strict = approximate(query, nyse, 0.99)
+        loose = approximate(query, nyse, 0.5)
         assert len(loose.early) >= len(strict.early)
 
     def test_no_duplicate_early_emissions(self, nyse, query):
-        result = run_spectre_approximate(query, nyse, SpectreConfig(k=4),
-                                         emission_threshold=0.6)
+        result = approximate(query, nyse, 0.6)
         identities = [e.complex_event.identity() for e in result.early]
         assert len(identities) == len(set(identities))
 
@@ -68,6 +66,6 @@ class TestApproximateEmission:
             ApproximateSpectreEngine(query, emission_threshold=1.5)
 
     def test_empty_run_perfect_scores(self, query):
-        result = run_spectre_approximate(query, [], SpectreConfig(k=2))
+        result = approximate(query, [], k=2)
         assert result.precision == 1.0
         assert result.recall == 1.0

@@ -295,6 +295,50 @@ def test_replay_drops_precrash_consumed_events(tmp_path, share):
             if routed is None or event.etype in routed)
 
 
+def test_routed_window_open_at_checkpoint_closes_on_foreign_event(tmp_path):
+    """``recovered ≡ uncrashed``, push by push, for a type-routed time
+    window that is open at the checkpoint and is closed after recovery
+    by an event of a type the attachment is not routed: the match
+    surfaces on the push of that event, in both runs."""
+    text = "PATTERN (tA tB+)\nWITHIN 3 seconds FROM tA\n"
+    events = [Event(seq=index, etype=etype, timestamp=float(index),
+                    attributes={})
+              for index, etype in enumerate(
+                  ["tX", "tA", "tB", "tX", "tX", "tX", "tX", "tA", "tB"])]
+    checkpoint_at, crash_at, closing = 3, 4, 5
+
+    reference = []
+    plain = StreamHub(share=True)
+    plain.attach(parse_query(text, name="r"), engine="sequential",
+                 name="r", sink=lambda ce: reference.append(ce.identity()))
+    uncrashed = [plain.push(event) for event in events]
+    assert uncrashed[closing] == 1 and sum(uncrashed[:closing]) == 0
+
+    delivered = []
+    sink = lambda ce: delivered.append(ce.identity())  # noqa: E731
+    first = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never",
+                       share=True)
+    first.attach(parse_query(text, name="r"), engine="sequential",
+                 name="r", sink=sink)
+    recovered = [first.push(event) for event in events[:checkpoint_at]]
+    first.checkpoint()  # the tA window is open across the cut
+    recovered += [first.push(event)
+                  for event in events[checkpoint_at:crash_at]]
+    first.hub.abort()
+
+    second = DurableHub(tmp_path, checkpoint_every=10**9, fsync="never",
+                        share=True, sink_provider=lambda record: sink)
+    attachment, = second.attachments
+    if attachment.query.plan.compiled:
+        assert attachment._routed_types == {"tA", "tB"}
+    recovered += [second.push(event) for event in events[crash_at:]]
+    assert recovered == uncrashed
+    assert delivered == reference[:1]
+    plain.close()
+    second.close()
+    assert delivered == reference and len(reference) == 2
+
+
 # -- the batch is the unit of replay (counts, no clocks) --------------------
 
 

@@ -4,13 +4,12 @@ import pytest
 
 from repro.datasets import generate_nyse, leading_symbols
 from repro.queries import make_q1
-from repro.sequential import run_sequential
 from repro.spectre import SpectreConfig, SpectreEngine
 from repro.spectre.elasticity import (
     ElasticityPolicy,
     ElasticSpectreEngine,
-    run_spectre_elastic,
 )
+from repro.streaming.builder import pipeline
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +55,7 @@ class TestSetK:
         while not engine.done:
             engine.splitter_cycle()
             engine.instance_phase()
-        expected = run_sequential(query, nyse).identities()
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
         assert engine.result().identities() == expected
 
     def test_set_k_validation(self, nyse):
@@ -75,7 +74,7 @@ class TestElasticEngine:
         policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
                                   min_resolved=5)
         engine = ElasticSpectreEngine(query, policy)
-        expected = run_sequential(query, nyse).identities()
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
         result = engine.run(nyse)
         assert result.identities() == expected
         assert engine.k == 16
@@ -85,7 +84,8 @@ class TestElasticEngine:
         # pick a q with mid completion probability
         query = make_q1(q=110, window_size=400,
                         leading_symbols=leading_symbols(2))
-        truth = run_sequential(query, nyse).completion_probability
+        truth = pipeline(query).engine("sequential") \
+            .run(nyse).completion_probability
         if not 0.25 <= truth <= 0.75:
             pytest.skip(f"dataset gives p={truth:.2f}, outside mid band")
         policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
@@ -97,6 +97,6 @@ class TestElasticEngine:
     def test_wrapper_correct(self, nyse):
         query = make_q1(q=8, window_size=400,
                         leading_symbols=leading_symbols(2))
-        expected = run_sequential(query, nyse).identities()
-        result = run_spectre_elastic(query, nyse)
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
+        result = pipeline(query).engine("elastic").run(nyse)
         assert result.identities() == expected

@@ -4,9 +4,9 @@ import pytest
 
 from repro.events import make_event
 from repro.patterns import ConsumptionPolicy
-from repro.sequential import run_sequential
-from repro.spectre import SpectreConfig, SpectreEngine, run_spectre
+from repro.spectre import SpectreConfig, SpectreEngine
 from repro.spectre.config import CostModel, MarkovParams
+from repro.streaming.builder import pipeline
 
 from tests.helpers import ab_query
 
@@ -22,14 +22,14 @@ def ab_stream(pattern_positions, n=24):
 
 class TestBasicRuns:
     def test_empty_stream(self):
-        result = run_spectre(ab_query(), [])
+        result = pipeline(ab_query()).engine("spectre").run([])
         assert result.complex_events == []
         assert result.stats.windows_total == 0
 
     def test_single_window_match(self):
         events = ab_stream({0: "A", 1: "B"}, n=6)
         query = ab_query(window=6, slide=6)
-        result = run_spectre(query, events)
+        result = pipeline(query).engine("spectre").run(events)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(0, 1)]
 
@@ -37,19 +37,19 @@ class TestBasicRuns:
         events = ab_stream({0: "A", 1: "B", 6: "A", 7: "B", 12: "A",
                             13: "B"}, n=18)
         query = ab_query(window=6, slide=6)
-        result = run_spectre(query, events, SpectreConfig(k=4))
+        result = pipeline(query).engine("spectre", k=4).run(events)
         window_ids = [ce.window_id for ce in result.complex_events]
         assert window_ids == sorted(window_ids)
 
     def test_throughput_positive(self):
         events = ab_stream({0: "A", 1: "B"}, n=12)
-        result = run_spectre(ab_query(), events)
+        result = pipeline(ab_query()).engine("spectre").run(events)
         assert result.throughput > 0
         assert result.virtual_time > 0
 
     def test_k1_has_no_speculative_waste(self):
         events = ab_stream({0: "A", 1: "B", 3: "A", 4: "B"}, n=24)
-        result = run_spectre(ab_query(), events, SpectreConfig(k=1))
+        result = pipeline(ab_query()).engine("spectre", k=1).run(events)
         # with one instance only the most probable (root-path) version
         # runs; any dropped versions were never processed
         assert result.stats.wasted_steps == 0
@@ -57,7 +57,7 @@ class TestBasicRuns:
     def test_no_consumption_no_groups(self):
         events = ab_stream({0: "A", 1: "B", 3: "A", 4: "B"}, n=24)
         query = ab_query(consumption=ConsumptionPolicy.none())
-        result = run_spectre(query, events, SpectreConfig(k=4))
+        result = pipeline(query).engine("spectre", k=4).run(events)
         assert result.stats.groups_created == 0
         assert result.stats.max_tree_size >= 1
 
@@ -68,8 +68,8 @@ class TestScalingBehaviour:
                                 "B" if i % 6 == 1 else "X")
                             for i in range(60)}, n=60)
         query = ab_query(window=12, slide=6)
-        t1 = run_spectre(query, events, SpectreConfig(k=1)).throughput
-        t4 = run_spectre(query, events, SpectreConfig(k=4)).throughput
+        t1 = pipeline(query).engine("spectre", k=1).run(events).throughput
+        t4 = pipeline(query).engine("spectre", k=4).run(events).throughput
         assert t4 > t1 * 1.2
 
     def test_max_tree_size_grows_with_k(self):
@@ -77,8 +77,8 @@ class TestScalingBehaviour:
                                 "B" if i % 6 == 1 else "X")
                             for i in range(120)}, n=120)
         query = ab_query(window=24, slide=6)
-        small = run_spectre(query, events, SpectreConfig(k=1))
-        large = run_spectre(query, events, SpectreConfig(k=8))
+        small = pipeline(query).engine("spectre", k=1).run(events)
+        large = pipeline(query).engine("spectre", k=8).run(events)
         assert large.stats.max_tree_size >= small.stats.max_tree_size
 
 
@@ -113,11 +113,13 @@ class TestFixedProbabilityModel:
     def test_fixed_model_runs_correctly(self):
         events = ab_stream({0: "A", 1: "B", 6: "A", 7: "B"}, n=18)
         query = ab_query(window=6, slide=6)
-        expected = run_sequential(query, events).identities()
+        expected = pipeline(query).engine("sequential") \
+            .run(events).identities()
         for p in (0.0, 0.5, 1.0):
             config = SpectreConfig(k=4, probability_model="fixed",
                                    fixed_probability=p)
-            result = run_spectre(query, events, config)
+            result = pipeline(query).engine("spectre", config=config) \
+                .run(events)
             assert result.identities() == expected
 
 
@@ -125,7 +127,7 @@ class TestStats:
     def test_group_accounting(self):
         events = ab_stream({0: "A", 1: "B"}, n=6)
         query = ab_query(window=6, slide=6)
-        result = run_spectre(query, events)
+        result = pipeline(query).engine("spectre").run(events)
         assert result.stats.groups_created == 1
         assert result.stats.groups_completed == 1
         assert result.stats.completion_probability == 1.0
@@ -133,7 +135,7 @@ class TestStats:
     def test_abandoned_group_accounting(self):
         events = ab_stream({0: "A"}, n=6)  # A without B
         query = ab_query(window=6, slide=6)
-        result = run_spectre(query, events)
+        result = pipeline(query).engine("spectre").run(events)
         assert result.stats.groups_created == 1
         assert result.stats.groups_abandoned == 1
         assert result.stats.completion_probability == 0.0
@@ -141,7 +143,7 @@ class TestStats:
     def test_windows_emitted_matches_total(self):
         events = ab_stream({}, n=30)
         query = ab_query(window=10, slide=5)
-        result = run_spectre(query, events, SpectreConfig(k=2))
+        result = pipeline(query).engine("spectre", k=2).run(events)
         assert result.stats.windows_emitted == result.stats.windows_total
 
 
@@ -157,7 +159,7 @@ class TestLatencyInstrumentation:
     def test_latencies_recorded_per_window(self):
         events = ab_stream({0: "A", 1: "B", 6: "A", 7: "B"}, n=18)
         query = ab_query(window=6, slide=6)
-        result = run_spectre(query, events, SpectreConfig(k=2))
+        result = pipeline(query).engine("spectre", k=2).run(events)
         stats = result.stats
         assert len(stats.window_latencies) == stats.windows_emitted
         assert all(latency >= 0 for latency in stats.window_latencies)
@@ -172,6 +174,6 @@ class TestLatencyInstrumentation:
                             for i in range(120)}, n=120)
         query = ab_query(window=24, slide=6)
         for k in (1, 8):
-            result = run_spectre(query, events, SpectreConfig(k=k))
+            result = pipeline(query).engine("spectre", k=k).run(events)
             assert all(latency <= result.virtual_time
                        for latency in result.stats.window_latencies)

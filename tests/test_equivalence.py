@@ -11,14 +11,14 @@ from repro.datasets import (
     leading_symbols,
 )
 from repro.queries import make_q1, make_q2, make_q3
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 from repro.spectre import SpectreConfig, SpectreEngine
 
 KS = [1, 2, 4, 8]
 
 
 def assert_equivalent(query, events, k, **config_kwargs):
-    expected = run_sequential(query, events)
+    expected = pipeline(query).engine("sequential").run(events)
     config = SpectreConfig(k=k, **config_kwargs)
     result = SpectreEngine(query, config).run(events)
     assert result.identities() == expected.identities(), (

@@ -9,7 +9,7 @@ window order.
 from repro.events import make_event
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 from repro.spectre import SpectreConfig, SpectreEngine
 from repro.windows import WindowSpec
 
@@ -41,7 +41,7 @@ class TestIndependentWindows:
     def test_disjoint_windows_form_forest(self):
         events = islands_stream()
         query = anchored_ab_query()
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = SpectreEngine(query, SpectreConfig(k=4))
         result = engine.run(events)
         assert result.identities() == expected.identities()
@@ -81,7 +81,7 @@ class TestIndependentWindows:
             events.append(make_event(seq, "X")); seq += 1
 
         query = anchored_ab_query(window_size=8)
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         for k in (1, 2, 4):
             result = SpectreEngine(query, SpectreConfig(k=k)).run(events)
             assert result.identities() == expected.identities(), k

@@ -1,7 +1,7 @@
 """Multi-query StreamHub: one ingestion path serving many attachments.
 
 The acceptance contract of the serving redesign: for every engine in
-``ENGINE_FACTORIES`` (plus the sequential and T-REX baselines), each
+the builder's ``ENGINES`` table (speculative or baseline), each
 attachment on a shared hub emits exactly the complex events, consumption
 ledger and window counters of that same query run alone through
 ``pipeline()``; an attachment added mid-stream emits exactly the
@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BackpressureError, HubClosedError, StreamHub, pipeline
 from repro.events import make_event
-from repro.graph.operator import ENGINE_FACTORIES
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
 from repro.queries import make_qe
 from repro.streaming import SinkError
-from repro.streaming.builder import build_engine
+from repro.streaming.builder import ENGINES, build_engine
 from repro.streaming.session import drive
 from repro.windows import WindowSpec
 
@@ -74,9 +73,9 @@ class TestSharedHubParity:
         return abc_stream(240, seed=13)
 
     def test_factory_registry_is_covered(self):
-        from repro.streaming.builder import ENGINE_ALIASES
-        assert {ENGINE_ALIASES[name] for name in FACTORY_ALIASES} \
-            == set(ENGINE_FACTORIES)
+        assert set(ALL_ENGINES) == set(BUILD_OPTIONS) == set(ENGINES)
+        assert set(FACTORY_ALIASES) == {
+            name for name, spec in ENGINES.items() if spec.takes_config}
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_attachment_equals_alone_run(self, name, events):

@@ -13,7 +13,8 @@ paths.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.events.event import Event
@@ -158,11 +159,25 @@ def test_push_many_chunks_match_per_event_push(specs, rows, chunk):
 # -- dynamic attach/detach: share=True ≡ share=False ------------------------
 
 
+_BAND = ("band", (0, 0, 0, (4, 2), False))
+_schedule_ops = st.one_of(
+    st.tuples(st.just("push"), st.integers(1, 30)),
+    st.tuples(st.just("attach"), query_specs),
+    st.tuples(st.just("detach"), st.integers(0, 7)))  # index mod alive
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_attach_detach_schedule_share_on_off_equivalence(data):
-    events = _build_events(data.draw(event_rows, label="rows"))
+@given(rows=event_rows,
+       initial=st.lists(query_specs, min_size=1, max_size=2),
+       ops=st.lists(_schedule_ops, max_size=6))
+# a routed time window closed by an event of a foreign type: its match
+# must surface on that push, not at the detach flush (ROADMAP item 0)
+@example(rows=[(1, 0), (0, 0), (0, 0), (2, 0), (0, 0)],
+         initial=[_BAND, ("typed-time", (1, 2, 3))],
+         ops=[("push", 5), ("detach", 1)])
+def test_attach_detach_schedule_share_on_off_equivalence(rows, initial, ops):
+    events = _build_events(rows)
     hubs = (StreamHub(share=True), StreamHub(share=False))
     collected: dict[str, tuple[list, list]] = {}
     alive: list[tuple[str, tuple]] = []
@@ -183,25 +198,18 @@ def test_attach_detach_schedule_share_on_off_equivalence(data):
         alive.append((name, tuple(a for a in
                                   (h.attachments[-1] for h in hubs))))
 
-    for spec in data.draw(st.lists(query_specs, min_size=1, max_size=2),
-                          label="initial"):
+    for spec in initial:
         attach(spec)
-    n_ops = data.draw(st.integers(0, 6), label="n_ops")
-    for _ in range(n_ops):
-        op = data.draw(st.sampled_from(("push", "attach", "detach")),
-                       label="op")
+    for op, arg in ops:
         if op == "push":
-            count = data.draw(st.integers(1, 30), label="count")
-            for event in events[position:position + count]:
+            for event in events[position:position + arg]:
                 for hub in hubs:
                     hub.push(event)
-            position += count
+            position += arg
         elif op == "attach":
-            attach(data.draw(query_specs, label="spec"))
+            attach(arg)
         elif alive:
-            index = data.draw(st.integers(0, len(alive) - 1),
-                              label="which")
-            _name, (shared_att, plain_att) = alive.pop(index)
+            _name, (shared_att, plain_att) = alive.pop(arg % len(alive))
             drained_shared = shared_att.detach(drain=True)
             drained_plain = plain_att.detach(drain=True)
             assert [ce.identity() for ce in drained_shared] == \
@@ -216,6 +224,33 @@ def test_attach_detach_schedule_share_on_off_equivalence(data):
     for name, (shared_sink, plain_sink) in collected.items():
         assert [ce.identity() for ce in shared_sink] == \
             [ce.identity() for ce in plain_sink], name
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_routed_time_window_emits_on_the_closing_push(chunk):
+    """Per push, not just in total: ``hub.push*`` return values and the
+    ``detach(drain=True)`` lists are equal with the optimizer on and
+    off when an event of a foreign type closes a routed time window."""
+    events = _build_events([(1, 0), (0, 0), (0, 0), (2, 0), (0, 0)])
+    seen = []
+    for share in (True, False):
+        hub = StreamHub(share=share)
+        attachments = [
+            hub.attach(_make_query(index, spec, True), engine="sequential",
+                       sink=lambda ce: None)
+            for index, spec in enumerate((_BAND, ("typed-time", (1, 2, 3))))]
+        per_push = [hub.push_many(events[start:start + chunk])
+                    for start in range(0, len(events), chunk)]
+        drained = [[ce.identity() for ce in attachment.detach(drain=True)]
+                   for attachment in attachments]
+        stats = hub.stats().attachments[1]
+        assert stats.events_offered + stats.events_skipped_by_index == \
+            len(events)
+        # the fix keeps the routing win (one chunk = all on admission)
+        assert (stats.events_skipped_by_index > 0) == (share and chunk < 5)
+        seen.append((per_push, drained))
+    assert seen[0] == seen[1]
+    assert sum(seen[0][0]) == 1 and seen[0][1] == [[], []]
 
 
 # -- the routing index in isolation -----------------------------------------

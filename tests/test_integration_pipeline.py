@@ -13,8 +13,7 @@ from repro import (
     OperatorGraph,
     SpectreConfig,
     parse_query,
-    run_sequential,
-    run_spectre,
+    pipeline,
 )
 from repro.datasets import (
     generate_nyse,
@@ -31,12 +30,12 @@ class TestCsvEngineRoundTrip:
         events = generate_nyse(1500, n_symbols=40, n_leading=2, seed=5)
         query = make_q1(q=6, window_size=200,
                         leading_symbols=leading_symbols(2))
-        direct = run_sequential(query, events)
+        direct = pipeline(query).engine("sequential").run(events)
 
         path = tmp_path / "events.csv"
         save_events_csv(events, path)
         loaded = load_events_csv(path)
-        restored = run_sequential(query, loaded)
+        restored = pipeline(query).engine("sequential").run(loaded)
         assert restored.identities() == direct.identities()
 
 
@@ -45,7 +44,8 @@ class TestOutOfOrderToSpectre:
         events = generate_nyse(800, n_symbols=30, n_leading=2, seed=9)
         query = make_q1(q=4, window_size=150,
                         leading_symbols=leading_symbols(2))
-        expected = run_sequential(query, events).identities()
+        expected = pipeline(query).engine("sequential") \
+            .run(events).identities()
 
         # perturb arrival order within a bounded disorder window
         rng = np.random.default_rng(3)
@@ -64,7 +64,7 @@ class TestOutOfOrderToSpectre:
         assert validate_order(restored)
         assert sorter.late_events == 0
 
-        result = run_spectre(query, restored, SpectreConfig(k=4))
+        result = pipeline(query).engine("spectre", k=4).run(restored)
         assert result.identities() == expected
 
 
@@ -122,6 +122,6 @@ class TestAllEnginesAgreeOnParsedQuery:
         query = parse_query(text, name="band")
         events = generate_price_walk(2000, step_scale=4.0, reversion=0.1,
                                      seed=31)
-        sequential = run_sequential(query, events)
-        spectre = run_spectre(query, events, SpectreConfig(k=k))
+        sequential = pipeline(query).engine("sequential").run(events)
+        spectre = pipeline(query).engine("spectre", k=k).run(events)
         assert spectre.identities() == sequential.identities()

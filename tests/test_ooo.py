@@ -93,13 +93,15 @@ class TestSlackSorter:
     def test_composes_with_engine(self):
         """Shuffled input + slack sorter feeds an engine correctly."""
         from repro.queries import make_qe
-        from repro.sequential import run_sequential
+        from repro.streaming.builder import pipeline
         ordered = [make_event(0, "A", timestamp=0.0, change=1.0),
                    make_event(1, "B", timestamp=10.0, change=2.0),
                    make_event(2, "B", timestamp=20.0, change=3.0)]
         shuffled = [ordered[0], ordered[2], ordered[1]]
         sorter = SlackSorter(slack=30.0)
         restored = list(sorter.sort(shuffled))
-        result = run_sequential(make_qe("selected-b"), restored)
-        expected = run_sequential(make_qe("selected-b"), ordered)
+        result = pipeline(make_qe("selected-b")).engine("sequential") \
+            .run(restored)
+        expected = pipeline(make_qe("selected-b")).engine("sequential") \
+            .run(ordered)
         assert result.identities() == expected.identities()

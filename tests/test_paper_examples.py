@@ -13,7 +13,7 @@ import pytest
 
 from repro.events import make_event
 from repro.queries import make_qe
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 from repro.spectre import SpectreConfig, SpectreEngine
 
 
@@ -36,15 +36,18 @@ def names(result):
 
 class TestFigure1Sequential:
     def test_cp_none_five_events(self, figure1_stream):
-        result = run_sequential(make_qe("none"), figure1_stream)
+        result = pipeline(make_qe("none")).engine("sequential") \
+            .run(figure1_stream)
         assert names(result) == [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]
 
     def test_cp_selected_b_three_events(self, figure1_stream):
-        result = run_sequential(make_qe("selected-b"), figure1_stream)
+        result = pipeline(make_qe("selected-b")).engine("sequential") \
+            .run(figure1_stream)
         assert names(result) == [(0, 2), (0, 3), (1, 4)]
 
     def test_factor_attribute(self, figure1_stream):
-        result = run_sequential(make_qe("selected-b"), figure1_stream)
+        result = pipeline(make_qe("selected-b")).engine("sequential") \
+            .run(figure1_stream)
         # Factor = B:change / A:change; first event pairs A1 (2.0), B1 (6.0)
         assert result.complex_events[0].attributes["Factor"] == \
             pytest.approx(3.0)
@@ -53,7 +56,8 @@ class TestFigure1Sequential:
         # consuming A as well stops w1 after its first correlation only in
         # *other* windows; within w1 the anchor stays bound, so w1 still
         # emits both pairs, but w2's A2 is untouched and B3 remains
-        result = run_sequential(make_qe("all"), figure1_stream)
+        result = pipeline(make_qe("all")).engine("sequential") \
+            .run(figure1_stream)
         assert (1, 4) in names(result)
 
 
@@ -62,7 +66,8 @@ class TestFigure1Spectre:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_equivalence(self, figure1_stream, cp, k):
         query = make_qe(cp)
-        expected = run_sequential(query, figure1_stream).identities()
+        expected = pipeline(query).engine("sequential") \
+            .run(figure1_stream).identities()
         result = SpectreEngine(query, SpectreConfig(k=k)).run(figure1_stream)
         assert result.identities() == expected
 
@@ -76,6 +81,7 @@ class TestSection21Example:
             make_event(2, "B", timestamp=2.0, change=1.0),
             make_event(3, "B", timestamp=3.0, change=1.0),
         ]
-        result = run_sequential(make_qe("selected-b"), stream)
+        result = pipeline(make_qe("selected-b")).engine("sequential") \
+            .run(stream)
         # w1 takes both Bs; w2 gets nothing
         assert names(result) == [(0, 2), (0, 3)]

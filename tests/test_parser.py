@@ -5,7 +5,7 @@ import pytest
 from repro.events import make_event
 from repro.patterns import QueryParseError, parse_query
 from repro.patterns.policies import SelectionPolicy
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 from repro.windows.specs import CountScope, EverySlide, OnPredicate, TimeScope
 
 Q2_STYLE = """
@@ -92,7 +92,7 @@ class TestBooleanConditions:
         query = parse_query(text)
         stream = [make_event(0, "quote", x=5), make_event(1, "quote", x=15),
                   make_event(2, "quote", x=25)]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(0,)]  # first match per window; 15 matches neither branch
 
@@ -104,7 +104,8 @@ class TestBooleanConditions:
         """
         query = parse_query(text)
         hits = [x for x in (5, 15, 25, 35)
-                if run_sequential(query, [make_event(0, "quote", x=x)])
+                if pipeline(query).engine("sequential")
+                    .run([make_event(0, "quote", x=x)])
                 .complex_events]
         assert hits == [5, 25]
 
@@ -117,8 +118,8 @@ class TestBooleanConditions:
         query = parse_query(text)
 
         def matches(**attrs):
-            return bool(run_sequential(
-                query, [make_event(0, "quote", **attrs)]).complex_events)
+            return bool(pipeline(query).engine("sequential")
+                .run([make_event(0, "quote", **attrs)]).complex_events)
 
         assert matches(x=1, y=0, z=1)
         assert matches(x=0, y=1, z=1)
@@ -137,8 +138,9 @@ class TestBooleanConditions:
         same = [make_event(0, "quote", x=2), make_event(1, "quote", x=3)]
         opposite = [make_event(0, "quote", x=2),
                     make_event(1, "quote", x=-3)]
-        assert run_sequential(query, same).complex_events
-        assert not run_sequential(query, opposite).complex_events
+        assert pipeline(query).engine("sequential").run(same).complex_events
+        assert not pipeline(query).engine("sequential") \
+            .run(opposite).complex_events
 
     def test_unbalanced_parenthesis_rejected(self):
         with pytest.raises(QueryParseError):
@@ -175,7 +177,7 @@ class TestParsedQueryRuns:
                                               "upperLimit": 60})
         stream = [quote(0, 30), quote(1, 50), quote(2, 55), quote(3, 70),
                   *[quote(i, 50) for i in range(4, 10)]]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         assert len(result.complex_events) == 1
         assert result.complex_events[0].constituent_seqs == (0, 1, 2, 3)
 
@@ -194,7 +196,7 @@ class TestParsedQueryRuns:
         stream = [quote(0, 30), quote(1, 50), quote(2, 70),
                   quote(3, 30), quote(4, 50), quote(5, 70),
                   quote(6, 50), quote(7, 50)]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         seqs = [ce.constituent_seqs for ce in result.complex_events]
         # w0 consumes (0,1,2); w1 (starting at 2) can only build (3,4,5)
         assert (0, 1, 2) in seqs
@@ -207,5 +209,5 @@ class TestParsedQueryRuns:
         query = parse_query(text, selection=SelectionPolicy.EACH,
                             max_matches=None)
         stream = [make_event(0, "A"), make_event(1, "A"), make_event(2, "B")]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         assert len(result.complex_events) == 2

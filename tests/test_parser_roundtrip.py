@@ -116,7 +116,7 @@ class TestRoundTrip:
 
     def test_rendered_text_parses_to_running_query(self):
         from repro.events import make_event
-        from repro.sequential import run_sequential
+        from repro.streaming.builder import pipeline
         pattern = Sequence((Atom("A", etype="A"),
                             KleenePlus(Atom("B", etype="B")),
                             Atom("C", etype="C")))
@@ -126,5 +126,5 @@ class TestRoundTrip:
         stream = [make_event(0, "A"), make_event(1, "B"),
                   make_event(2, "C")] + \
             [make_event(i, "X") for i in range(3, 10)]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         assert len(result.complex_events) == 1

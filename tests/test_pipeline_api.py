@@ -1,27 +1,16 @@
-"""The fluent pipeline facade and the deprecated run_* shims.
+"""The fluent pipeline facade and the engine registry behind it.
 
 ``repro.pipeline(query).engine(...).out_of_order(...).sink(...)`` must
 compose reordering, any engine and sinks without changing results; the
-seven historical ``run_*`` helpers must keep returning exactly what they
-always did, now routed through the session API and warning about it.
+``ENGINES`` table of ``repro.streaming.builder`` is the one place engine
+names live, read by the builder, the operator graph and the hub alike.
 """
 
 import random
 
 import pytest
 
-import repro
-from repro import (
-    SpectreConfig,
-    pipeline,
-    run_sequential,
-    run_spectre,
-    run_spectre_approximate,
-    run_spectre_elastic,
-    run_spectre_sharded,
-    run_spectre_threaded,
-    run_trex,
-)
+from repro import Operator, SpectreConfig, StreamHub, pipeline
 from repro.events import make_event
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
@@ -31,7 +20,8 @@ from repro.spectre.elasticity import ElasticityPolicy, ElasticSpectreEngine
 from repro.spectre.engine import SpectreEngine
 from repro.spectre.threaded import ThreadedSpectreEngine
 from repro.runtime.sharding import ShardedSpectreEngine
-from repro.streaming.builder import build_engine
+from repro.streaming.builder import ENGINES, build_engine
+from repro.streaming.session import drive
 from repro.trex.engine import TRexEngine
 from repro.windows import WindowSpec
 
@@ -56,6 +46,11 @@ class TestFluentBuilder:
         fluent = pipeline(query).engine("spectre", k=4).run(events)
         assert fluent.identities() == direct.identities()
         assert fluent.stats.windows_total == direct.stats.windows_total
+        assert fluent.input_events == direct.input_events
+        assert fluent.virtual_time == direct.virtual_time
+        # SequentialResult is a plain dataclass: the whole result
+        assert pipeline(query).engine("sequential").run(events) == \
+            SequentialEngine(query).run(events)
 
     def test_builder_chains_and_is_reusable(self):
         query, events = abc_query(), abc_stream(80)
@@ -173,7 +168,6 @@ class TestFluentBuilder:
             ("trex", TRexEngine),
             ("spectre", SpectreEngine),
             ("threaded", ThreadedSpectreEngine),
-            ("spectre-threaded", ThreadedSpectreEngine),
             ("elastic", ElasticSpectreEngine),
             ("approximate", ApproximateSpectreEngine),
             ("sharded", ShardedSpectreEngine),
@@ -216,83 +210,59 @@ class TestFluentBuilder:
         assert engine.workers == 3
 
 
-SHIMS = [
-    ("run_sequential", run_sequential, {},
-     lambda q: SequentialEngine(q)),
-    ("run_spectre", run_spectre, {"config": SpectreConfig(k=2)},
-     lambda q: SpectreEngine(q, SpectreConfig(k=2))),
-    ("run_spectre_threaded", run_spectre_threaded,
-     {"config": SpectreConfig(k=2)},
-     lambda q: ThreadedSpectreEngine(q, SpectreConfig(k=2))),
-    ("run_spectre_elastic", run_spectre_elastic, {},
-     lambda q: ElasticSpectreEngine(q)),
-    ("run_spectre_sharded", run_spectre_sharded, {"workers": 1},
-     lambda q: ShardedSpectreEngine(q, workers=1)),
-]
+class TestEngineRegistry:
+    """``ENGINES`` is the one table of engine names: the builder, the
+    operator graph and the hub accept exactly its keys, and every entry
+    keeps the sequential identities on a consuming query."""
 
-
-class TestDeprecationShims:
-    """The seven run_* helpers warn and preserve exact result parity
-    against the engine-class code path."""
-
-    @pytest.mark.parametrize("name,shim,kwargs,engine_factory", SHIMS)
-    def test_shim_warns_and_matches_engine_path(self, name, shim, kwargs,
-                                                engine_factory):
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_every_entry_builds_opens_and_runs(self, name):
         query, events = abc_query(), abc_stream(150)
-        with pytest.warns(DeprecationWarning, match=name):
-            shimmed = shim(query, events, **kwargs)
-        direct = engine_factory(query).run(events)
-        assert shimmed.identities() == direct.identities()
-        assert len(shimmed.complex_events) == len(direct.complex_events)
+        expected = SequentialEngine(query).run(events).identities()
+        assert expected  # the workload produces (consuming) matches
+        engine = build_engine(query, name)
+        assert type(engine) is ENGINES[name].load()
+        assert engine.run(events).identities() == expected
+        with build_engine(query, name).open() as session:
+            streamed = drive(session, events)
+        assert [ce.identity() for ce in streamed] == expected
+        assert pipeline(query).engine(name).run(events).identities() == \
+            expected
 
-    def test_run_sequential_full_result_parity(self):
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_graph_and_hub_accept_the_same_names(self, name):
         query, events = abc_query(), abc_stream(150)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_sequential(query, events)
-        direct = SequentialEngine(query).run(events)
-        assert shimmed == direct  # SequentialResult is a plain dataclass
+        expected = SequentialEngine(query).run(events).identities()
+        operator = Operator("op", query, engine=name)
+        operator.process(events)
+        assert [ce.identity() for ce in
+                operator.last_report.complex_events] == expected
+        with StreamHub() as hub:
+            attachment = hub.attach(query, engine=name)
+            hub.push_many(events)
+        assert [ce.identity() for ce in attachment] == expected
 
-    def test_run_spectre_result_fields(self):
-        query, events = abc_query(), abc_stream(150)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_spectre(query, events, SpectreConfig(k=2))
-        direct = SpectreEngine(query, SpectreConfig(k=2)).run(events)
-        assert shimmed.identities() == direct.identities()
-        assert shimmed.input_events == direct.input_events
-        assert shimmed.stats.windows_total == direct.stats.windows_total
-        assert shimmed.virtual_time == direct.virtual_time
+    def test_unknown_name_is_one_error_listing_the_table(self):
+        query = abc_query()
+        for build in (lambda: build_engine(query, "quantum"),
+                      lambda: pipeline(query).engine("quantum"),
+                      lambda: Operator("op", query, engine="quantum"),
+                      lambda: Operator("op", query).open(engine="quantum"),
+                      lambda: StreamHub().attach(query, engine="quantum")):
+            with pytest.raises(ValueError, match="unknown engine") as err:
+                build()
+            assert str(list(ENGINES)) in str(err.value)
 
-    def test_run_trex_warns_and_matches(self):
-        from repro.trex import q1_ast_query
-        from repro.datasets import generate_nyse, leading_symbols
-        events = generate_nyse(800, n_symbols=30, n_leading=2, seed=3)
-        query = q1_ast_query(q=4, window_size=100,
-                             leading_symbols=leading_symbols(2))
-        with pytest.warns(DeprecationWarning, match="run_trex"):
-            shimmed = run_trex(query, events)
-        direct = TRexEngine(query).run(events)
-        assert shimmed.identities() == direct.identities()
-        assert shimmed.windows == direct.windows
-        assert shimmed.events_fed == direct.events_fed
-
-    def test_run_spectre_approximate_warns_and_matches(self):
-        query, events = abc_query(), abc_stream(150)
-        with pytest.warns(DeprecationWarning,
-                          match="run_spectre_approximate"):
-            shimmed = run_spectre_approximate(query, events,
-                                              SpectreConfig(k=2),
-                                              emission_threshold=0.8)
-        engine = ApproximateSpectreEngine(query, SpectreConfig(k=2),
-                                          emission_threshold=0.8)
-        direct = engine.run_approximate(events)
-        assert shimmed.final.identities() == direct.final.identities()
-        assert {e.complex_event.identity() for e in shimmed.early} == \
-            {e.complex_event.identity() for e in direct.early}
-
-    def test_shims_remain_exported_from_the_facade(self):
-        for name in ("run_sequential", "run_spectre",
-                     "run_spectre_threaded", "run_spectre_elastic",
-                     "run_spectre_approximate", "run_spectre_sharded",
-                     "run_trex"):
-            assert name in repro.__all__
-            assert callable(getattr(repro, name))
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_engine_specific_keywords_are_refused_elsewhere(self, name):
+        query = abc_query()
+        values = {"policy": ElasticityPolicy(), "emission_threshold": 0.5,
+                  "workers": 2}
+        for keyword, value in values.items():
+            if keyword == ENGINES[name].extra:
+                build_engine(query, name, **{keyword: value})
+                continue
+            with pytest.raises(ValueError, match=f"{keyword}="):
+                build_engine(query, name, **{keyword: value})
+            with pytest.raises(ValueError, match=f"{keyword}="):
+                StreamHub().attach(query, engine=name, **{keyword: value})

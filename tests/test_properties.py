@@ -11,7 +11,7 @@ from repro.consumption import ConsumptionGroup
 from repro.events import make_event, validate_order
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 from repro.spectre import SpectreConfig, SpectreEngine
 from repro.spectre.config import MarkovParams
 from repro.spectre.prediction import MarkovPredictor
@@ -46,7 +46,8 @@ class TestSequentialSpectreEquivalence:
         consumption = ConsumptionPolicy.all() if consume_all else \
             ConsumptionPolicy.selected("B")
         query = abc_query(window, slide, consumption)
-        expected = run_sequential(query, stream).identities()
+        expected = pipeline(query).engine("sequential") \
+            .run(stream).identities()
         result = SpectreEngine(query, SpectreConfig(k=k)).run(stream)
         assert result.identities() == expected
 
@@ -54,7 +55,8 @@ class TestSequentialSpectreEquivalence:
     @given(stream=streams, fixed_p=st.floats(min_value=0.0, max_value=1.0))
     def test_any_prediction_quality_is_safe(self, stream, fixed_p):
         query = abc_query(8, 4, ConsumptionPolicy.all())
-        expected = run_sequential(query, stream).identities()
+        expected = pipeline(query).engine("sequential") \
+            .run(stream).identities()
         config = SpectreConfig(k=3, probability_model="fixed",
                                fixed_probability=fixed_p)
         result = SpectreEngine(query, config).run(stream)
@@ -67,7 +69,7 @@ class TestSequentialInvariants:
     def test_constituents_unique_under_consume_all(self, stream):
         """An event participates in at most one pattern instance."""
         query = abc_query(10, 5, ConsumptionPolicy.all())
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         seen: set[int] = set()
         for ce in result.complex_events:
             for seq in ce.constituent_seqs:
@@ -85,10 +87,10 @@ class TestSequentialInvariants:
         window whose B was consumed elsewhere legitimately matches the
         *next* B; that shifting is exactly why SPECTRE must speculate.)"""
         from collections import Counter
-        with_cp = run_sequential(abc_query(10, 5, ConsumptionPolicy.all()),
-                                 stream)
-        without = run_sequential(abc_query(10, 5, ConsumptionPolicy.none()),
-                                 stream)
+        with_cp, without = (
+            pipeline(abc_query(10, 5, policy)).engine("sequential")
+            .run(stream)
+            for policy in (ConsumptionPolicy.all(), ConsumptionPolicy.none()))
         with_counts = Counter(ce.window_id for ce in with_cp.complex_events)
         without_counts = Counter(ce.window_id
                                  for ce in without.complex_events)
@@ -98,8 +100,8 @@ class TestSequentialInvariants:
     @settings(max_examples=40, deadline=None)
     @given(stream=streams)
     def test_groups_resolve_exactly_once(self, stream):
-        result = run_sequential(abc_query(10, 5, ConsumptionPolicy.all()),
-                                stream)
+        query = abc_query(10, 5, ConsumptionPolicy.all())
+        result = pipeline(query).engine("sequential").run(stream)
         assert result.groups_completed <= result.groups_created
 
 

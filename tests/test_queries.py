@@ -4,7 +4,7 @@ import pytest
 
 from repro.events import make_event
 from repro.queries import make_q1, make_q2, make_q3
-from repro.sequential import run_sequential
+from repro.streaming.builder import pipeline
 
 
 def quote(seq, symbol, open_price, close_price):
@@ -32,7 +32,7 @@ class TestQ1:
     def test_detects_rising_run(self):
         stream = [rising(0, "L0000"), rising(1), rising(2), rising(3)] + \
             [flat(i) for i in range(4, 10)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert len(result.complex_events) == 1
         assert result.complex_events[0].constituent_seqs == (0, 1, 2, 3)
         assert result.complex_events[0].attributes["direction"] == "rise"
@@ -40,21 +40,22 @@ class TestQ1:
     def test_falling_mle_needs_falling_res(self):
         stream = [falling(0, "L0000"), rising(1), falling(2), falling(3),
                   falling(4)] + [flat(i) for i in range(5, 10)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events[0].constituent_seqs == (0, 2, 3, 4)
         assert result.complex_events[0].attributes["direction"] == "fall"
 
     def test_window_opens_only_on_leading_symbol(self):
         stream = [rising(0, "S0005"), rising(1), rising(2), rising(3)] + \
             [flat(i) for i in range(4, 10)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.windows == 0
         assert result.complex_events == []
 
     def test_abandon_when_window_too_short(self):
         stream = [rising(0, "L0000"), rising(1)] + \
             [flat(i) for i in range(2, 12)]
-        result = run_sequential(self._query(q=5, ws=6), stream)
+        result = pipeline(self._query(q=5, ws=6)).engine("sequential") \
+            .run(stream)
         assert result.complex_events == []
         assert result.groups_created == 1
         assert result.completion_probability == 0.0
@@ -64,7 +65,8 @@ class TestQ1:
         # consumes the second window's anchor as an RE
         stream = [rising(0, "L0000"), rising(1, "L0000"), rising(2),
                   rising(3)] + [flat(i) for i in range(4, 14)]
-        result = run_sequential(self._query(q=2, ws=8), stream)
+        result = pipeline(self._query(q=2, ws=8)).engine("sequential") \
+            .run(stream)
         seqs = [ce.constituent_seqs for ce in result.complex_events]
         assert seqs[0] == (0, 1, 2)
         # anchor of w1 (event 1) was consumed -> w1 yields nothing
@@ -75,7 +77,7 @@ class TestQ1:
                         consume=False)
         stream = [rising(0, "L0000"), rising(1, "L0000"), rising(2),
                   rising(3)] + [flat(i) for i in range(4, 14)]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         assert len(result.complex_events) == 2
 
 
@@ -90,7 +92,7 @@ class TestQ2:
         closes = [30, 50, 70, 50, 30, 50, 70, 50, 30, 50, 70, 50, 30]
         stream = [self._price(i, c) for i, c in enumerate(closes)]
         stream += [self._price(i, 50) for i in range(len(closes), 40)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert len(result.complex_events) == 1
         assert len(result.complex_events[0].constituents) == 13
 
@@ -99,7 +101,7 @@ class TestQ2:
                   50, 30]
         stream = [self._price(i, c) for i, c in enumerate(closes)]
         stream += [self._price(i, 50) for i in range(len(closes), 40)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert len(result.complex_events) == 1
         assert len(result.complex_events[0].constituents) == 15
 
@@ -107,7 +109,7 @@ class TestQ2:
         closes = [30, 40, 60, 50, 70]  # 40 and 60 sit exactly on limits
         stream = [self._price(i, c) for i, c in enumerate(closes)]
         stream += [self._price(i, 50) for i in range(len(closes), 40)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events == []
         assert result.groups_created == 1  # the 30 opened a match
 
@@ -115,7 +117,7 @@ class TestQ2:
         closes = [30, 50, 70, 50, 30]
         stream = [self._price(i, c) for i, c in enumerate(closes)]
         stream += [self._price(i, 50) for i in range(len(closes), 40)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events == []
         assert result.completion_probability == 0.0
 
@@ -124,7 +126,7 @@ class TestQ2:
         closes = [30, 70, 30, 70, 30, 70, 30]
         stream = [self._price(i, c) for i, c in enumerate(closes)]
         stream += [self._price(i, 50) for i in range(len(closes), 40)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events == []
 
 
@@ -140,7 +142,7 @@ class TestQ3:
         stream = [self._sym(0, "S0000"), self._sym(1, "S0002"),
                   self._sym(2, "S0005"), self._sym(3, "S0001")] + \
             [self._sym(i, "S0009") for i in range(4, 12)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert len(result.complex_events) == 1
         assert result.complex_events[0].constituent_seqs == (0, 1, 3)
 
@@ -148,14 +150,14 @@ class TestQ3:
         stream = [self._sym(0, "S0001"), self._sym(1, "S0002"),
                   self._sym(2, "S0000")] + \
             [self._sym(i, "S0009") for i in range(3, 12)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events == []
 
     def test_duplicates_not_double_counted(self):
         stream = [self._sym(0, "S0000"), self._sym(1, "S0001"),
                   self._sym(2, "S0001")] + \
             [self._sym(i, "S0009") for i in range(3, 12)]
-        result = run_sequential(self._query(), stream)
+        result = pipeline(self._query()).engine("sequential").run(stream)
         assert result.complex_events == []
 
     def test_consumption_across_sliding_windows(self):
@@ -166,7 +168,7 @@ class TestQ3:
                   self._sym(6, "S0009"), self._sym(7, "S0009"),
                   self._sym(8, "S0009"), self._sym(9, "S0009"),
                   self._sym(10, "S0009"), self._sym(11, "S0009")]
-        result = run_sequential(query, stream)
+        result = pipeline(query).engine("sequential").run(stream)
         seqs = [ce.constituent_seqs for ce in result.complex_events]
         # w0 consumes (0,1); w1 = [4..11] builds (4,5); w2 = [8..] nothing
         assert seqs == [(0, 1), (4, 5)]

@@ -17,7 +17,6 @@ from repro.datasets import (
 from repro.events import make_event
 from repro.queries import make_q1, make_q2, make_qe
 from repro.runtime.scheduler import SCHEDULER_NAMES, make_scheduler
-from repro.sequential import run_sequential
 from repro.spectre import (
     ApproximateSpectreEngine,
     ElasticityPolicy,
@@ -26,6 +25,7 @@ from repro.spectre import (
     SpectreEngine,
     ThreadedSpectreEngine,
 )
+from repro.streaming.builder import pipeline
 
 STRATEGIES = list(SCHEDULER_NAMES)
 
@@ -67,7 +67,7 @@ class TestSchedulerParity:
     def test_strategy_matches_sequential(self, nyse, walk, qe_stream,
                                          qname, strategy):
         query, events = _queries(nyse, walk, qe_stream)[qname]
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         config = SpectreConfig(k=4, scheduler=strategy)
         result = SpectreEngine(query, config).run(events)
         assert result.identities() == expected.identities(), (
@@ -78,7 +78,7 @@ class TestSchedulerParity:
     def test_constructor_injection_overrides_config(self, nyse, walk,
                                                     qe_stream, strategy):
         query, events = _queries(nyse, walk, qe_stream)["q1"]
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = SpectreEngine(query, SpectreConfig(k=4),
                                scheduler=make_scheduler(strategy))
         assert engine.scheduler.name == strategy
@@ -91,7 +91,7 @@ class TestEngineVariantParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_elastic(self, nyse, walk, qe_stream, strategy):
         query, events = _queries(nyse, walk, qe_stream)["q1"]
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         policy = ElasticityPolicy(max_k=8, plateau_k=2, period=50,
                                   min_resolved=10)
         engine = ElasticSpectreEngine(
@@ -103,7 +103,7 @@ class TestEngineVariantParity:
     def test_approximate_final_stream(self, nyse, walk, qe_stream,
                                       strategy):
         query, events = _queries(nyse, walk, qe_stream)["q2"]
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = ApproximateSpectreEngine(
             query, SpectreConfig(k=4, scheduler=strategy),
             emission_threshold=0.8)
@@ -112,7 +112,7 @@ class TestEngineVariantParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_threaded(self, nyse, walk, qe_stream, strategy):
         query, events = _queries(nyse, walk, qe_stream)["qe"]
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = ThreadedSpectreEngine(
             query, SpectreConfig(k=2, scheduler=strategy))
         assert engine.run(events).identities() == expected.identities()

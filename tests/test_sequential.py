@@ -3,10 +3,8 @@
 from repro.events import make_event
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
-from repro.sequential import (
-    ground_truth_completion_probability,
-    run_sequential,
-)
+from repro.sequential import ground_truth_completion_probability
+from repro.streaming.builder import pipeline
 from repro.windows import WindowSpec
 
 
@@ -21,7 +19,8 @@ class TestSequentialBasics:
         events = [make_event(0, "A"), make_event(1, "B"),
                   make_event(2, "X"), make_event(3, "A"),
                   make_event(4, "B"), make_event(5, "X")]
-        result = run_sequential(ab_query(ConsumptionPolicy.none()), events)
+        query = ab_query(ConsumptionPolicy.none())
+        result = pipeline(query).engine("sequential").run(events)
         # w0=[0..5] matches (0,1); w1=[3..5] matches (3,4)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(0, 1), (3, 4)]
@@ -31,7 +30,8 @@ class TestSequentialBasics:
                   make_event(2, "X"), make_event(3, "A"),
                   make_event(4, "B"), make_event(5, "X")]
         # w0=[0..5] matches (3,4) and consumes; w1=[3..8] finds them consumed
-        result = run_sequential(ab_query(ConsumptionPolicy.all()), events)
+        query = ab_query(ConsumptionPolicy.all())
+        result = pipeline(query).engine("sequential").run(events)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(3, 4)]
 
@@ -39,7 +39,8 @@ class TestSequentialBasics:
         events = [make_event(0, "X"), make_event(1, "X"),
                   make_event(2, "X"), make_event(3, "A"),
                   make_event(4, "B"), make_event(5, "X")]
-        result = run_sequential(ab_query(ConsumptionPolicy.none()), events)
+        query = ab_query(ConsumptionPolicy.none())
+        result = pipeline(query).engine("sequential").run(events)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(3, 4), (3, 4)]
 
@@ -48,15 +49,15 @@ class TestSequentialBasics:
         # but it needs a fresh B
         events = [make_event(0, "X"), make_event(1, "X"), make_event(2, "X"),
                   make_event(3, "A"), make_event(4, "B"), make_event(5, "B")]
-        result = run_sequential(
-            ab_query(ConsumptionPolicy.selected("B")), events)
+        query = ab_query(ConsumptionPolicy.selected("B"))
+        result = pipeline(query).engine("sequential").run(events)
         assert [ce.constituent_seqs for ce in result.complex_events] == \
             [(3, 4), (3, 5)]
 
     def test_window_count_reported(self):
         events = [make_event(i, "X") for i in range(10)]
-        result = run_sequential(ab_query(ConsumptionPolicy.none(),
-                                         window=4, slide=2), events)
+        query = ab_query(ConsumptionPolicy.none(), window=4, slide=2)
+        result = pipeline(query).engine("sequential").run(events)
         assert result.windows == 5
 
 
@@ -89,7 +90,7 @@ class TestGroundTruthProbability:
                   make_event(8, "X"), make_event(9, "X"),
                   make_event(10, "X"), make_event(11, "X")]
         query = ab_query(ConsumptionPolicy.all(), window=6, slide=6)
-        result = run_sequential(query, events)
+        result = pipeline(query).engine("sequential").run(events)
         assert result.groups_created == 2
         assert result.groups_completed == 1
         assert result.completion_probability == 0.5
@@ -97,5 +98,6 @@ class TestGroundTruthProbability:
     def test_events_fed_excludes_consumed(self):
         events = [make_event(0, "X"), make_event(1, "X"), make_event(2, "X"),
                   make_event(3, "A"), make_event(4, "B"), make_event(5, "X")]
-        result = run_sequential(ab_query(ConsumptionPolicy.all()), events)
+        query = ab_query(ConsumptionPolicy.all())
+        result = pipeline(query).engine("sequential").run(events)
         assert result.events_skipped_consumed == 2  # A and B in window 1

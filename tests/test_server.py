@@ -247,6 +247,38 @@ class TestEndToEnd:
         assert run_async(scenario()) == expected == [[0, 1, 2]]
 
 
+    def test_routed_match_arrives_with_the_closing_push(self):
+        """A type-routed time-window subscription: the match frame
+        follows the push of the (foreign-type) event that closes the
+        window — before any further relevant event is sent."""
+        text = "PATTERN (A B+)\nWITHIN 3 seconds FROM A\n"
+
+        async def scenario():
+            config = ServerConfig(engine="sequential", share=True)
+            async with serve(config) as (core, tcp, ws):
+                client = await ServerClient.connect("127.0.0.1",
+                                                    tcp.port)
+                await client.hello()
+                await client.subscribe(text, name="routed")
+                for seq, etype in enumerate("ABXX"):
+                    await client.push(make_event(seq, etype), ack=True)
+                await client.push(make_event(5, "X"), ack=True)  # 5 > 0+3
+                while True:
+                    frame = await client.next_frame(timeout=5.0)
+                    assert frame is not None, "no match after the close"
+                    if frame["type"] == "match":
+                        break
+                stats, = core.hub.stats().attachments
+                await client.close()
+                return frame["match"]["seqs"], stats
+
+        seqs, stats = run_async(scenario())
+        assert seqs == [0, 1]
+        assert stats.events_offered + stats.events_skipped_by_index == 5
+        if parse_query(text).plan.compiled:  # else: offer-all, no routing
+            assert stats.events_skipped_by_index > 0
+
+
 class TestRateLimiting:
     def test_per_client_buckets_shed_independently(self):
         clock = [0.0]

@@ -17,10 +17,9 @@ from repro.runtime.sharding import (
     ShardedSpectreEngine,
     merge_run_stats,
     plan_shards,
-    run_spectre_sharded,
 )
-from repro.sequential import run_sequential
 from repro.spectre import RunStats, SpectreConfig, SpectreEngine
+from repro.streaming.builder import pipeline
 from repro.windows import WindowSpec
 
 from tests.helpers import ab_query
@@ -120,7 +119,7 @@ class TestShardedEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_sequential(self, nyse, q1, workers):
-        expected = run_sequential(q1, nyse)
+        expected = pipeline(q1).engine("sequential").run(nyse)
         engine = ShardedSpectreEngine(q1, SpectreConfig(k=2),
                                       workers=workers)
         result = engine.run(nyse)
@@ -151,7 +150,7 @@ class TestShardedEquivalence:
         must fold to in-process execution and stay exact."""
         query = ab_query(window=6, slide=3)
         events = tumbling_ab_stream(40)
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = ShardedSpectreEngine(query, SpectreConfig(k=2), workers=4)
         result = engine.run(events)
         assert len(engine.plan) == 1
@@ -161,7 +160,7 @@ class TestShardedEquivalence:
     def test_more_workers_than_shards(self):
         query = ab_query(window=4, slide=4)
         events = tumbling_ab_stream(12)  # 3 shards
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         engine = ShardedSpectreEngine(query, SpectreConfig(k=2), workers=8)
         result = engine.run(events)
         assert len(engine.plan) == 3
@@ -169,7 +168,7 @@ class TestShardedEquivalence:
         assert result.identities() == expected.identities()
 
     def test_empty_stream(self):
-        result = run_spectre_sharded(ab_query(), [], workers=2)
+        result = pipeline(ab_query()).engine("sharded", workers=2).run([])
         assert result.complex_events == []
         assert result.input_events == 0
 
@@ -225,7 +224,7 @@ class TestShardedProperty:
         streams — including the 1-island (single-shard) degenerate case
         and worker counts exceeding the island count."""
         query = make_qe("selected-b", window_seconds=12.0)
-        expected = run_sequential(query, events)
+        expected = pipeline(query).engine("sequential").run(events)
         unsharded = SpectreEngine(query, SpectreConfig(k=2))
         unsharded.run(events)
         sharded = ShardedSpectreEngine(query, SpectreConfig(k=2),

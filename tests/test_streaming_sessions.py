@@ -2,7 +2,8 @@
 incremental emission, bounded buffering, and lifecycle edge cases.
 
 The acceptance contract of the streaming redesign: for every engine in
-``ENGINE_FACTORIES`` (plus the sequential and T-REX baselines),
+the builder's ``ENGINES`` table (the sequential and T-REX baselines
+included),
 ``Session.push``-driven execution produces complex events, consumption
 ledger and match counts identical to batch ``run()``, with matches
 emitted incrementally and the retired stream prefix garbage-collected.
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.events import make_event
-from repro.graph.operator import ENGINE_FACTORIES
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
 from repro.runtime.sharding import plan_shards
@@ -25,7 +25,7 @@ from repro.streaming import (
     SessionClosedError,
     SessionStateError,
 )
-from repro.streaming.builder import build_engine
+from repro.streaming.builder import ENGINES, build_engine
 from repro.windows import WindowSpec
 from repro.windows.specs import EverySlide, TimeScope
 
@@ -78,10 +78,10 @@ def drive_eager(session: Session, events):
 
 class TestFactoryRegistryCoverage:
     def test_every_factory_engine_is_exercised(self):
-        """The alias list above must cover ENGINE_FACTORIES exactly."""
-        from repro.streaming.builder import ENGINE_ALIASES
-        assert {ENGINE_ALIASES[name] for name in FACTORY_ALIASES} \
-            == set(ENGINE_FACTORIES)
+        """The lists above must cover the ENGINES table exactly."""
+        assert set(ALL_ENGINES) == set(BUILD_OPTIONS) == set(ENGINES)
+        assert set(FACTORY_ALIASES) == {
+            name for name, spec in ENGINES.items() if spec.takes_config}
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_engines_satisfy_the_protocol(self, name):

@@ -10,14 +10,13 @@ import pytest
 from repro.datasets import generate_nyse, leading_symbols
 from repro.events import make_event
 from repro.queries import make_q1, make_qe
-from repro.sequential import run_sequential
 from repro.spectre import SpectreConfig
 from repro.spectre.threaded import (
     LockedPredictor,
     ThreadedSpectreEngine,
-    run_spectre_threaded,
 )
 from repro.spectre.prediction import FixedPredictor
+from repro.streaming.builder import pipeline
 
 
 class TestLockedPredictor:
@@ -36,7 +35,7 @@ class TestThreadedEquivalence:
     def test_q1_equivalence(self, nyse, k):
         query = make_q1(q=8, window_size=200,
                         leading_symbols=leading_symbols(2))
-        expected = run_sequential(query, nyse).identities()
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
         engine = ThreadedSpectreEngine(query, SpectreConfig(k=k))
         result = engine.run(nyse, timeout_seconds=120.0)
         assert result.identities() == expected
@@ -49,8 +48,9 @@ class TestThreadedEquivalence:
                   make_event(3, "B", timestamp=30.0, change=8.0),
                   make_event(4, "B", timestamp=70.0, change=2.0)]
         query = make_qe("selected-b")
-        expected = run_sequential(query, stream).identities()
-        result = run_spectre_threaded(query, stream, SpectreConfig(k=2))
+        expected = pipeline(query).engine("sequential") \
+            .run(stream).identities()
+        result = pipeline(query).engine("threaded", k=2).run(stream)
         assert result.identities() == expected
 
     def test_wall_time_recorded(self, nyse):
@@ -65,7 +65,7 @@ class TestThreadedEquivalence:
         """Race robustness: several runs, every one must be exact."""
         query = make_q1(q=8, window_size=200,
                         leading_symbols=leading_symbols(2))
-        expected = run_sequential(query, nyse).identities()
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
         for _attempt in range(3):
             engine = ThreadedSpectreEngine(query, SpectreConfig(k=4))
             result = engine.run(nyse, timeout_seconds=120.0)

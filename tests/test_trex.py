@@ -4,8 +4,8 @@ import pytest
 
 from repro.datasets import generate_nyse, generate_rand, leading_symbols
 from repro.queries import make_q1, make_q3
-from repro.sequential import run_sequential
-from repro.trex import q1_ast_query, q3_ast_query, run_trex
+from repro.streaming.builder import pipeline
+from repro.trex import q1_ast_query, q3_ast_query
 from repro.trex.automaton import compile_detector
 
 
@@ -19,8 +19,8 @@ class TestQ1Ast:
         udf_query = make_q1(q=6, window_size=200, leading_symbols=leaders)
         ast_query = q1_ast_query(q=6, window_size=200,
                                  leading_symbols=leaders)
-        udf_result = run_sequential(udf_query, nyse)
-        trex_result = run_trex(ast_query, nyse)
+        udf_result = pipeline(udf_query).engine("sequential").run(nyse)
+        trex_result = pipeline(ast_query).engine("trex").run(nyse)
         udf_seqs = [ce.constituent_seqs for ce in udf_result.complex_events]
         trex_seqs = [ce.constituent_seqs for ce in trex_result.complex_events]
         assert udf_seqs == trex_seqs
@@ -28,7 +28,7 @@ class TestQ1Ast:
     def test_wall_clock_measured(self, nyse):
         query = q1_ast_query(q=6, window_size=200,
                              leading_symbols=leading_symbols(2))
-        result = run_trex(query, nyse)
+        result = pipeline(query).engine("trex").run(nyse)
         assert result.wall_seconds > 0
         assert result.events_per_second > 0
         assert result.input_events == len(nyse)
@@ -41,9 +41,11 @@ class TestQ3Ast:
         udf_query = make_q3("S0000", members, window_size=150, slide=50)
         ast_query = q3_ast_query("S0000", members, window_size=150, slide=50)
         udf_seqs = [ce.constituent_seqs for ce in
-                    run_sequential(udf_query, rand).complex_events]
+                    pipeline(udf_query).engine("sequential")
+                        .run(rand).complex_events]
         trex_seqs = [ce.constituent_seqs for ce in
-                     run_trex(ast_query, rand).complex_events]
+                     pipeline(ast_query).engine("trex")
+                         .run(rand).complex_events]
         assert udf_seqs == trex_seqs
 
 

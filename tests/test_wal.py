@@ -59,6 +59,20 @@ def test_bad_magic_rejected(tmp_path):
         read_wal(path)
 
 
+def test_empty_segment_is_a_torn_tail(tmp_path):
+    """SIGKILL between creating a segment and writing its header leaves
+    a zero-byte file: recovery must read it as torn (nothing lost), and
+    a writer reopening it starts the segment afresh."""
+    path = tmp_path / "wal-00000001.log"
+    path.touch()
+    result = read_wal(path)
+    assert result.torn and result.records == [] and result.valid_bytes == 0
+    writer = WalWriter(path, "never")
+    writer.append({"n": 1})
+    writer.close()
+    assert read_wal(path).records == [{"n": 1}]
+
+
 def test_torn_tail_detected_and_truncated_on_reopen(tmp_path):
     path = tmp_path / "wal-00000001.log"
     writer = WalWriter(path, "never")

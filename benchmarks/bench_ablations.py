@@ -1,4 +1,5 @@
-"""Ablations of SPECTRE's design choices (DESIGN.md §6).
+"""Ablations of SPECTRE's design choices (at the scale of README.md,
+"Scale substitutions").
 
 Not figures from the paper, but benchmarks for the design decisions its
 text motivates:

@@ -50,9 +50,6 @@ class PassthroughMiddleware(Middleware):
     """Overrides the ingestion hooks but only forwards — measures the
     floor cost of an *installed* chain, not of any policy."""
 
-    def on_push(self, context, call_next):
-        return call_next(context)
-
     def on_push_many(self, context, call_next):
         return call_next(context)
 

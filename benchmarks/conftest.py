@@ -3,7 +3,8 @@
 The datasets are scaled-down equivalents of the paper's (24M-quote NYSE,
 3M-event RAND): the queries keep the paper's *ratios* (pattern size over
 window size), which is the x-axis all throughput figures use, while event
-counts stay laptop-sized.  DESIGN.md documents the substitution.
+counts stay laptop-sized.  README.md, "Scale substitutions", documents
+the substitution.
 """
 
 from __future__ import annotations

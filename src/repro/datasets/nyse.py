@@ -10,7 +10,7 @@ condition.
 The queries only consume ``symbol``, ``openPrice``, ``closePrice`` and the
 rise/fall relation between them; a random walk gives tunable rise/fall
 statistics (≈50/50, matching 1-minute real data) and therefore exercises
-the identical engine code paths.  See DESIGN.md, substitution table.
+the identical engine code paths.  See README.md, "Scale substitutions".
 """
 
 from __future__ import annotations

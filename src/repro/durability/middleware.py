@@ -3,7 +3,7 @@
 :class:`DurabilityMiddleware` is the single seam between the hub and
 the log: installed (innermost) on a hub's middleware stack it
 
-* appends the ``push``/``push_many`` record *before* delegating — the
+* appends the ``push`` record of each batch *before* delegating — the
   WAL's causal invariant: a logged emit always has its logged cause —
   and logs exactly what the core ingests (outer middleware that sheds
   or rewrites events has already acted),
@@ -46,13 +46,6 @@ class DurabilityMiddleware(Middleware):
         self.journal = journal
 
     # -- ingestion (hub scope) ---------------------------------------------
-
-    def on_push(self, context: MiddlewareContext, call_next):
-        self.journal.log_push((context.event,))
-        try:
-            return call_next(context)
-        finally:
-            self.journal.log_op_end()
 
     def on_push_many(self, context: MiddlewareContext, call_next):
         self.journal.log_push(context.events)

@@ -39,13 +39,8 @@ from typing import Any, AsyncIterator, Callable, Mapping, Optional
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
-from repro.hub.core import Attachment, HubStats, StreamHub
-from repro.middleware.base import (
-    MiddlewareContext,
-    MiddlewareStack,
-    _implements,
-    restrict,
-)
+from repro.hub.core import Attachment, HubStats, StreamHub, as_query
+from repro.middleware.base import MiddlewareContext, MiddlewareStack
 from repro.middleware.sinks import SinkError
 from repro.patterns.query import Query
 
@@ -327,12 +322,7 @@ class AsyncStreamHub:
         self.queue_size = queue_size
         self._attachments: list[AsyncAttachment] = []
         self._stack = MiddlewareStack(middleware or ())
-        self._session_middleware = tuple(
-            restrict(mw, ("on_match", "on_error"))
-            for mw in self._stack.middlewares
-            if _implements(mw, "on_match") or _implements(mw, "on_error"))
-        self._achain_push = self._stack.async_chain(
-            "on_push", self._push_terminal)
+        self._session_middleware = self._stack.delivery_views()
         self._achain_push_many = self._stack.async_chain(
             "on_push_many", self._push_many_terminal)
         self._achain_flush = self._stack.async_chain(
@@ -404,7 +394,10 @@ class AsyncStreamHub:
         ``middleware`` intercepts this attachment's match delivery and
         sink errors at the async layer (hooks may be ``async def``);
         ``on_attach`` hooks of the hub's middleware run here too, but
-        must be synchronous — ``attach()`` is not a coroutine.
+        must be synchronous — ``attach()`` is not a coroutine.  Query
+        text is parsed (with ``params``) before the chain, so
+        ``context.query`` is a :class:`~repro.patterns.query.Query` here
+        as on the sync hub.
 
         ``durable=True`` (needs a hub opened over a durability manager)
         WAL-logs the attachment as restorable and stages its matches
@@ -415,20 +408,20 @@ class AsyncStreamHub:
         if durable and (self._journal is None or not name):
             raise ValueError("durable attachments need a name and a hub "
                              "opened over a durability manager")
+        query = as_query(query, name, params)
+        name = name or query.name
         user_middleware = tuple(middleware or ())
         chain = self._stack.chain(
             "on_attach",
             lambda ctx: self._attach_raw(
-                ctx.query, engine=ctx.engine, name=ctx.name,
-                params=params, sink=sink, queue_size=queue_size,
-                middleware=user_middleware, durable=durable,
-                engine_options=engine_options))
+                ctx.query, engine=ctx.engine, name=ctx.name, sink=sink,
+                queue_size=queue_size, middleware=user_middleware,
+                durable=durable, engine_options=engine_options))
         if chain is None:
             return self._attach_raw(
-                query, engine=engine, name=name, params=params,
-                sink=sink, queue_size=queue_size,
-                middleware=user_middleware, durable=durable,
-                engine_options=engine_options)
+                query, engine=engine, name=name, sink=sink,
+                queue_size=queue_size, middleware=user_middleware,
+                durable=durable, engine_options=engine_options)
         ctx = MiddlewareContext("on_attach", hub=self, query=query,
                                 name=name, engine=engine)
         attachment = chain(ctx)
@@ -439,8 +432,7 @@ class AsyncStreamHub:
                 "facade (attach() is not a coroutine)")
         return attachment
 
-    def _attach_raw(self, query: Query | str, *, engine: str,
-                    name: Optional[str], params, sink,
+    def _attach_raw(self, query: Query, *, engine: str, name: str, sink,
                     queue_size: Optional[int], middleware: tuple,
                     durable: bool,
                     engine_options: dict) -> AsyncAttachment:
@@ -454,7 +446,7 @@ class AsyncStreamHub:
         staged: deque = deque()
         try:
             inner = self._hub.attach(
-                query, engine=engine, name=name, params=params,
+                query, engine=engine, name=name,
                 sink=_staging_sink(staged, journal, name), **engine_options)
         finally:
             if durable:  # a refused attach must not leak the latch
@@ -488,18 +480,9 @@ class AsyncStreamHub:
             raise SinkError(errors)
 
     async def push(self, event: Event) -> int:
-        """Offer one event; suspends while any consumer queue is full."""
-        if self._achain_push is None:
-            return await self._push_terminal(None, event)
-        ctx = MiddlewareContext("on_push", hub=self, event=event)
-        result = await self._achain_push(ctx)
-        return 0 if result is None else result
-
-    async def _push_terminal(self, ctx: Optional[MiddlewareContext],
-                             event: Optional[Event] = None) -> int:
-        delivered = self._hub.push(ctx.event if ctx is not None else event)
-        await self._dispatch()
-        return delivered
+        """Offer one event — the 1-element case of :meth:`push_many`;
+        suspends while any consumer queue is full."""
+        return await self.push_many([event])
 
     async def push_many(self, events: list[Event]) -> int:
         """Offer a batch through one sorter/fan-out pass (mirrors the

@@ -68,7 +68,6 @@ from repro.middleware.base import (
     MiddlewareContext,
     MiddlewareStack,
     _implements,
-    restrict,
 )
 from repro.middleware.sinks import SinkError
 from repro.hub.optimizer import (
@@ -478,6 +477,18 @@ class Attachment:
                 f"state={self.state}, matches={self.matches_emitted})")
 
 
+def as_query(query: Query | str, name: Optional[str],
+             params: Optional[Mapping[str, Any]]) -> Query:
+    """What ``attach`` was given, as a :class:`Query`: MATCH-RECOGNIZE
+    text is parsed with ``params`` — before any ``on_attach`` chain, so
+    ``context.query`` is a ``Query`` at every layer."""
+    if isinstance(query, str):
+        return parse_query(query, name=name or "query", params=params)
+    if params is not None:
+        raise ValueError("params= only applies to query text")
+    return query
+
+
 class StreamHub:
     """One shared ingestion path serving any number of attachments.
 
@@ -506,21 +517,13 @@ class StreamHub:
         # hub-level interception: ingestion/lifecycle hooks run at hub
         # scope (before the shared reorder stage); the middlewares'
         # match/error hooks are replayed inside every attachment's
-        # session chain via restrict() so delivery is intercepted too,
-        # without double-running the ingestion hooks.
+        # session chain (``delivery_views``).
         self._middleware = MiddlewareStack(middleware or ())
-        self._session_middleware = tuple(
-            restrict(mw, ("on_match", "on_error"))
-            for mw in self._middleware.middlewares
-            if _implements(mw, "on_match") or _implements(mw, "on_error"))
-        self._chain_push = self._middleware.chain(
-            "on_push", lambda ctx: self._push_raw(ctx.event))
+        self._session_middleware = self._middleware.delivery_views()
         self._chain_push_many = self._middleware.chain(
             "on_push_many", lambda ctx: self._push_many_raw(ctx.events))
         self._chain_flush = self._middleware.chain(
             "on_flush", lambda ctx: self._flush_raw())
-        self._mw_ctx = MiddlewareContext(hub=self) \
-            if self._middleware else None
         self.queue_size = queue_size
         self.overflow = overflow
         self.events_pushed = 0
@@ -598,19 +601,15 @@ class StreamHub:
         others); without sinks, matches buffer in the bounded queue.
         ``middleware`` installs per-attachment interception around this
         attachment's session (see :mod:`repro.middleware.base`); a
-        middleware hooking ``on_push``/``on_push_many`` gives the
-        attachment a private engine session — per-member ingestion
+        middleware hooking ``on_push_many`` gives the attachment a
+        private engine session — per-member ingestion
         rewrites are unsound inside a shared group, which ingests each
         event exactly once for all members.
         """
         if self._closed or self._flushed:
             raise HubClosedError("cannot attach: hub is "
                                  + ("closed" if self._closed else "flushed"))
-        if isinstance(query, str):
-            query = parse_query(query, name=name or "query",
-                                params=params)
-        elif params is not None:
-            raise ValueError("params= only applies to query text")
+        query = as_query(query, name, params)
         name = name or query.name
         user_middleware = tuple(middleware or ())
         chain = self._middleware.chain(
@@ -641,9 +640,8 @@ class StreamHub:
         else:
             sinks = tuple(sinks)
         session_middleware = self._session_middleware + middleware
-        ingest_hooked = any(
-            _implements(mw, "on_push") or _implements(mw, "on_push_many")
-            for mw in middleware)
+        ingest_hooked = any(_implements(mw, "on_push_many")
+                            for mw in middleware)
         member = routed_types = None
         if self._share and not engine_options and not ingest_hooked:
             signature = member_signature(query, engine)
@@ -668,7 +666,7 @@ class StreamHub:
         if member is not None:
             member.attachment = attachment
         attachment.engine_options = dict(engine_options)
-        session.bind_attachment(attachment)
+        session.attachment = attachment
         self._routing.add(name, routed_types)
         self._names.add(name)
         self._attachments.append(attachment)
@@ -705,17 +703,9 @@ class StreamHub:
         the moment their alignment point passes.
         """
         self._require_open("push")
-        if self._chain_push is None:
-            return self._push_raw(event)
-        ctx = self._mw_ctx
-        ctx.hook = "on_push"
-        ctx.event = event
-        ctx.events = None
-        result = self._chain_push(ctx)
-        return 0 if result is None else result
-
-    def _push_raw(self, event: Event) -> int:
-        return self._push_many_raw((event,))
+        if self._chain_push_many is None:
+            return self._push_many_raw((event,))
+        return self.push_many([event])
 
     def push_many(self, events: Iterable[Event]) -> int:
         """Offer a batch of events; return the total matches validated.
@@ -730,11 +720,9 @@ class StreamHub:
         self._require_open("push_many")
         if self._chain_push_many is None:
             return self._push_many_raw(events)
-        ctx = self._mw_ctx
-        ctx.hook = "on_push_many"
-        ctx.event = None
-        ctx.events = events if isinstance(events, list) else list(events)
-        result = self._chain_push_many(ctx)
+        result = self._chain_push_many(MiddlewareContext(
+            "on_push_many", hub=self,
+            events=events if isinstance(events, list) else list(events)))
         return 0 if result is None else result
 
     def _push_many_raw(self, events: Iterable[Event]) -> int:
@@ -814,11 +802,7 @@ class StreamHub:
         self._require_open("flush")
         if self._chain_flush is None:
             return self._flush_raw()
-        ctx = self._mw_ctx
-        ctx.hook = "on_flush"
-        ctx.event = None
-        ctx.events = None
-        result = self._chain_flush(ctx)
+        result = self._chain_flush(MiddlewareContext("on_flush", hub=self))
         return 0 if result is None else result
 
     def _flush_raw(self) -> int:

@@ -15,8 +15,8 @@ composed *call-next style* — each hook receives the rest of the chain
 as a callable and decides whether to
 
 * **observe**: do something, then ``return call_next(context)``;
-* **transform**: rewrite ``context.event`` / ``context.events`` /
-  ``context.match`` before calling ``call_next``;
+* **transform**: rewrite ``context.events`` / ``context.match`` before
+  calling ``call_next``;
 * **short-circuit**: return *without* calling ``call_next`` (the
   intercepted operation never reaches the core — a dropped event, a
   shed push, a suppressed match), or raise to refuse it loudly.
@@ -37,14 +37,15 @@ middleware, configured declaratively at any layer::
 Hook semantics
 --------------
 ===============  ======================================================
-``on_push``      One event entering a session (per-attachment delivery
+``on_push_many`` A batch entering a session (per-attachment delivery
                  on the hub path) or a hub (shared ingestion, before
-                 the reorder stage).  ``call_next`` returns the matches
-                 the event validated (session) or the number of
-                 matches delivered (hub).  Short-circuit drops the
-                 event.
-``on_push_many`` A chunk entering via ``push_many``; ``context.events``
-                 is the list.  Trim or replace it to shed load.
+                 the reorder stage) — the one ingest hook: ``push(e)``
+                 arrives as the 1-element batch.  ``context.events``
+                 is the list; trim or replace it to shed, validate or
+                 rewrite (a per-event policy is a loop over it).
+                 ``call_next`` returns the matches the batch validated
+                 (session) or the number delivered (hub).
+                 Short-circuit drops the whole batch.
 ``on_flush``     End-of-stream.  ``call_next`` returns the trailing
                  matches (session) / delivered count (hub).
 ``on_attach``    A query subscribing to a hub; ``context.query``,
@@ -90,21 +91,20 @@ class MiddlewareContext:
 
     Only the fields relevant to the current hook are populated (see the
     hook table in the module docstring); the rest are ``None``.
-    Middleware may rewrite the payload fields (``event``, ``events``,
-    ``match``) before calling ``call_next`` — the terminal operation
-    reads them from the context, so the rewrite is what the core sees.
+    Middleware may rewrite the payload fields (``events``, ``match``)
+    before calling ``call_next`` — the terminal operation reads them
+    from the context, so the rewrite is what the core sees.  Every
+    intercepted operation gets a context of its own.
     """
 
-    __slots__ = ("hook", "event", "events", "match", "error", "sink",
-                 "session", "hub", "attachment", "query", "name", "engine",
-                 "drain")
+    __slots__ = ("hook", "events", "match", "error", "sink", "session",
+                 "hub", "attachment", "query", "name", "engine", "drain")
 
-    def __init__(self, hook: str = "", *, event=None, events=None,
-                 match=None, error=None, sink=None, session=None,
-                 hub=None, attachment=None, query=None, name=None,
-                 engine=None, drain=None) -> None:
+    def __init__(self, hook: str = "", *, events=None, match=None,
+                 error=None, sink=None, session=None, hub=None,
+                 attachment=None, query=None, name=None, engine=None,
+                 drain=None) -> None:
         self.hook = hook
-        self.event = event
         self.events = events
         self.match = match
         self.error = error
@@ -151,9 +151,6 @@ class Middleware:
     implements ``on_match`` adds zero cost to every push.
     """
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        return call_next(context)
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         return call_next(context)
 
@@ -173,8 +170,20 @@ class Middleware:
         return call_next(context)
 
 
-HOOKS = ("on_push", "on_push_many", "on_flush", "on_attach",
-         "on_detach", "on_match", "on_error")
+HOOKS = ("on_push_many", "on_flush", "on_attach", "on_detach", "on_match",
+         "on_error")
+
+
+def _checked(middleware):
+    """Refuse a class written against the removed single-event hook:
+    no chain would ever call it, so its policy would silently stop
+    applying."""
+    if hasattr(type(middleware), "on_push"):
+        raise TypeError(
+            f"{type(middleware).__name__} defines on_push, which is not a "
+            f"hook: implement on_push_many; push(e) arrives as a "
+            f"1-element batch")
+    return middleware
 
 
 class _Restricted:
@@ -198,7 +207,7 @@ class _Restricted:
 def restrict(middleware: Middleware,
              hooks: Iterable[str]) -> _Restricted:
     """Expose only ``hooks`` of ``middleware`` to the stack it joins."""
-    return _Restricted(middleware, frozenset(hooks))
+    return _Restricted(_checked(middleware), frozenset(hooks))
 
 
 def _implements(middleware, name: str) -> bool:
@@ -243,7 +252,7 @@ class MiddlewareStack:
     """
 
     def __init__(self, middlewares: Iterable[Any] = ()) -> None:
-        self.middlewares = list(middlewares)
+        self.middlewares = [_checked(mw) for mw in middlewares]
 
     def __bool__(self) -> bool:
         return bool(self.middlewares)
@@ -251,28 +260,35 @@ class MiddlewareStack:
     def hooked(self, name: str) -> bool:
         return any(_implements(mw, name) for mw in self.middlewares)
 
-    def chain(self, name: str, terminal: Callable) -> Optional[Callable]:
-        """Compose the sync chain for ``name`` around ``terminal``;
-        ``None`` when nothing intercepts it."""
+    def delivery_views(self) -> tuple:
+        """The middlewares that hook match delivery, restricted to
+        ``on_match``/``on_error``: what a hub replays inside every
+        attachment's chain so delivery is intercepted too, without
+        running its ingestion and lifecycle hooks a second time."""
+        return tuple(restrict(mw, ("on_match", "on_error"))
+                     for mw in self.middlewares
+                     if _implements(mw, "on_match")
+                     or _implements(mw, "on_error"))
+
+    def _compose(self, name: str, terminal: Callable,
+                 link: Callable) -> Optional[Callable]:
         hooks = [_hook(mw, name) for mw in self.middlewares
                  if _implements(mw, name)]
         if not hooks:
             return None
         call = terminal
         for hook in reversed(hooks):
-            call = _link(hook, call)
+            call = link(hook, call)
         return call
+
+    def chain(self, name: str, terminal: Callable) -> Optional[Callable]:
+        """Compose the sync chain for ``name`` around ``terminal``;
+        ``None`` when nothing intercepts it."""
+        return self._compose(name, terminal, _link)
 
     def async_chain(self, name: str,
                     terminal: Callable) -> Optional[Callable]:
         """Like :meth:`chain` but every link awaits awaitable results,
         so hooks may freely be ``async def``.  ``terminal`` must be a
         coroutine function."""
-        hooks = [_hook(mw, name) for mw in self.middlewares
-                 if _implements(mw, name)]
-        if not hooks:
-            return None
-        call = terminal
-        for hook in reversed(hooks):
-            call = _alink(hook, call)
-        return call
+        return self._compose(name, terminal, _alink)

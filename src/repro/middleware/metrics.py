@@ -146,7 +146,8 @@ class MetricsMiddleware(Middleware):
             "events_pushed_total", "Events offered via push/push_many",
             scope)
         self.batches_total = reg.counter(
-            "push_batches_total", "push_many batches offered", scope)
+            "push_batches_total",
+            "Batches offered (a single push is a 1-event batch)", scope)
         self.matches_total = reg.counter(
             "matches_total", "Complex events delivered", scope)
         self.sink_errors_total = reg.counter(
@@ -162,18 +163,11 @@ class MetricsMiddleware(Middleware):
 
     # -- hooks -------------------------------------------------------------
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        labels = (_scope(context),)
-        self.events_total.inc(1.0, labels)
-        watermark = context.watermark
-        if watermark is not None and watermark != float("-inf"):
-            self.watermark_gauge.set(watermark, labels)
-        return call_next(context)
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         labels = (_scope(context),)
         self.events_total.inc(float(len(context.events)), labels)
         self.batches_total.inc(1.0, labels)
+        self._set_watermark(context, labels)
         return call_next(context)
 
     def on_match(self, context: MiddlewareContext, call_next):
@@ -187,10 +181,14 @@ class MetricsMiddleware(Middleware):
     def on_flush(self, context: MiddlewareContext, call_next):
         labels = (_scope(context),)
         self.flushes_total.inc(1.0, labels)
+        self._set_watermark(context, labels)
+        return call_next(context)
+
+    def _set_watermark(self, context: MiddlewareContext,
+                       labels: tuple) -> None:
         watermark = context.watermark
         if watermark is not None and watermark != float("-inf"):
             self.watermark_gauge.set(watermark, labels)
-        return call_next(context)
 
     def on_attach(self, context: MiddlewareContext, call_next):
         self.attach_total.inc(1.0, (_scope(context),))

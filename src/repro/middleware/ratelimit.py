@@ -10,8 +10,8 @@ shared hub enforces per-client quotas through a single middleware
 instance.  The policies:
 
 * ``policy="shed"`` (default): the event is dropped before it reaches
-  the core — ``on_push`` short-circuits, ``on_push_many`` trims the
-  batch to the available tokens — and the shed is counted.
+  the core — ``on_push_many`` trims the batch to the available tokens
+  (a single ``push`` is the 1-element batch) — and the shed is counted.
 * ``policy="raise"``: :class:`RateLimitExceeded` propagates to the
   producer, which owns the retry/backoff decision.
 
@@ -132,16 +132,11 @@ class RateLimitMiddleware(Middleware):
             self.shed_by_key[key] = self.shed_by_key.get(key, 0) + shed
         return granted
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        if self._take(context, 1) == 0:
-            return None  # shed: short-circuit before the core sees it
-        return call_next(context)
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         events = context.events
         granted = self._take(context, len(events))
         if granted == 0:
-            return None
+            return None  # shed: short-circuit before the core sees it
         if granted < len(events):
             # admit the prefix the bucket can pay for, shed the rest
             context.events = events[:granted]

@@ -74,12 +74,6 @@ class TraceMiddleware(Middleware):
 
     # -- hooks -------------------------------------------------------------
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        event = context.event
-        self._record(context, seq=event.seq, etype=event.etype,
-                     timestamp=event.timestamp)
-        return call_next(context)
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         events = context.events
         first = events[0] if events else None

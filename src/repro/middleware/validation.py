@@ -121,13 +121,6 @@ class ValidationMiddleware(Middleware):
 
     # -- hooks -------------------------------------------------------------
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        event = self._admit(context.event)
-        if event is None:
-            return None
-        context.event = event
-        return call_next(context)
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         admitted = []
         for event in context.events:

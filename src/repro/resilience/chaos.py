@@ -93,14 +93,14 @@ class ChaosConfig:
 
 class ChaosMiddleware(Middleware):
     """Deterministic event-level fault injection on a hub's ingestion
-    chain (``on_push`` / ``on_push_many`` / ``on_flush``).
+    chain (``on_push_many`` / ``on_flush``).
 
     Faults, decided by one draw per event from ``Random(config.seed)``:
 
     * **drop** — the event never reaches the core (short-circuit);
     * **duplicate** — the event is ingested twice back to back;
-    * **delay** — the event is held and re-injected in front of a
-      later push (bounded by ``max_held``; anything still held when
+    * **delay** — the event is held and re-injected in front of the
+      next push (bounded by ``max_held``; anything still held when
       the hub flushes is released first, through the full remaining
       chain, so durability journals the release before the flush
       record).
@@ -147,57 +147,6 @@ class ChaosMiddleware(Middleware):
 
     # -- ingestion hooks ----------------------------------------------
 
-    def on_push(self, context: MiddlewareContext, call_next):
-        if self._passthrough:
-            return call_next(context)
-        counters = self.counters
-        counters["events_seen"] += 1
-        event = context.event
-        fate = self._fate()
-        if fate == "delay":
-            if len(self._held) < self.config.max_held:
-                counters["events_delayed"] += 1
-                self._held.append(event)
-                return None  # re-injected in front of a later push
-            fate = None  # hold budget spent: pass through
-        to_push = []
-        if self._held:
-            counters["events_released"] += len(self._held)
-            to_push.extend(self._held)
-            self._held.clear()
-        if fate == "drop":
-            counters["events_dropped"] += 1
-        elif fate == "dup":
-            counters["events_duplicated"] += 1
-            to_push.extend((event, event))
-        else:
-            to_push.append(event)
-        if not to_push:
-            return None
-        return self._run_pushes(context, call_next, to_push)
-
-    def _run_pushes(self, context, call_next, events):
-        """Forward each event down the remaining chain (the downstream
-        links and the terminal read ``context.event`` at call time).
-        Returns the last result, or an awaitable of it under the
-        asyncio facade."""
-        context.event = events[0]
-        result = call_next(context)
-        if inspect.isawaitable(result):
-            return self._run_pushes_async(context, call_next,
-                                          events, result)
-        for event in events[1:]:
-            context.event = event
-            result = call_next(context)
-        return result
-
-    async def _run_pushes_async(self, context, call_next, events, first):
-        result = await first
-        for event in events[1:]:
-            context.event = event
-            result = await call_next(context)
-        return result
-
     def on_push_many(self, context: MiddlewareContext, call_next):
         if self._passthrough:
             return call_next(context)
@@ -243,12 +192,6 @@ class ChaosMiddleware(Middleware):
         if inspect.isawaitable(pushed):
             return self._flush_release_async(pushed, context, call_next)
         self._passthrough = False
-        # the sync hub reuses one context object across operations; the
-        # reentrant push_many clobbered it, so restore the flush shape
-        context.hook = "on_flush"
-        context.event = None
-        context.events = None
-        context.hub = hub
         return call_next(context)
 
     async def _flush_release_async(self, pushed, context, call_next):
@@ -410,31 +353,20 @@ class ConnectionChaos:
 def effective_stream(config: ChaosConfig, events, *,
                      chunk: Optional[int] = None) -> list:
     """The exact post-fault stream a hub behind
-    ``ChaosMiddleware(config)`` ingests when fed ``events`` — per-event
-    ``push`` when ``chunk`` is ``None``, else ``push_many`` in chunks —
-    followed by one ``flush``.  Chaos parity oracles feed this stream
-    to a bare hub and assert identical matches.
+    ``ChaosMiddleware(config)`` ingests when fed ``events`` by
+    ``push_many`` in chunks of ``chunk`` — ``None`` is per-event
+    ``push``, the 1-element chunking — followed by one ``flush``.  Chaos
+    parity oracles feed this stream to a bare hub and assert identical
+    matches.
     """
     middleware = ChaosMiddleware(config)
     out: list = []
-
-    def capture_one(ctx):
-        out.append(ctx.event)
-
-    def capture_many(ctx):
-        out.extend(ctx.events)
-
-    if chunk is None:
-        ctx = MiddlewareContext("on_push")
-        for event in events:
-            ctx.event = event
-            middleware.on_push(ctx, capture_one)
-    else:
-        items = list(events)
-        for start in range(0, len(items), chunk):
-            ctx = MiddlewareContext("on_push_many",
-                                    events=items[start:start + chunk])
-            middleware.on_push_many(ctx, capture_many)
+    items = list(events)
+    step = chunk or 1
+    for start in range(0, len(items), step):
+        ctx = MiddlewareContext("on_push_many",
+                                events=items[start:start + step])
+        middleware.on_push_many(ctx, lambda ctx: out.extend(ctx.events))
 
     class _CaptureHub:
         @staticmethod

@@ -6,7 +6,7 @@ instance threads — the deployment shape of Sec. 2.2 ("1 thread is pinned
 to the splitter and k threads are pinned to the operator instances").
 
 Because of CPython's GIL this demonstrates *concurrency correctness*, not
-speedup (DESIGN.md, substitution table): workers interleave at bytecode
+speedup (README.md, "Scale substitutions"): workers interleave at bytecode
 granularity, group mutations propagate with real delays, consistency
 checks and rollbacks fire under genuine races, and the output must still
 be exactly the sequential engine's.

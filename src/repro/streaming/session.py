@@ -46,13 +46,12 @@ block always cleans up.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence, \
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, \
     runtime_checkable
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
-from repro.middleware.base import MiddlewareContext, MiddlewareStack, \
-    _implements
+from repro.middleware.base import MiddlewareContext, MiddlewareStack
 from repro.middleware.sinks import SinkError
 
 if TYPE_CHECKING:
@@ -94,62 +93,31 @@ class Session(abc.ABC):
         self._closed = False
         self._aborted = False
         self._last_ts = float("-inf")
-        # interception: ``middleware`` composes on_push/on_push_many/
-        # on_flush around the session core, on_match/on_error around
-        # match delivery.  Chains for un-hooked operations stay None so
-        # the no-op case costs one attribute check per call — nothing
-        # is allocated on the hot path unless a hook is installed.
-        self.attachment = None  # stamped by the hub for its sessions
+        # stamped by the hub on its sessions, so middleware contexts
+        # (and bucket keys, metric labels, ...) can name the attachment
+        self.attachment = None
         self._sink_errors: list[tuple] = []
-        self._chain_push = self._chain_push_many = None
-        self._chain_flush = self._chain_match = self._chain_error = None
-        self._mw_ctx: Optional[MiddlewareContext] = None
+        # interception: ``middleware`` composes on_push_many/on_flush
+        # around the session core, on_match/on_error around match
+        # delivery.  Chains for un-hooked operations stay None so the
+        # no-op case costs one attribute check per call — nothing is
+        # allocated on the hot path unless a hook is installed.
+        self._chain_push_many = self._chain_flush = None
+        self._chain_match = self._chain_error = None
         if middleware:
             self._bind_middleware(middleware
                                   if isinstance(middleware, MiddlewareStack)
                                   else MiddlewareStack(middleware))
 
     def _bind_middleware(self, stack: MiddlewareStack) -> None:
-        def push_one(ctx):
-            return self._push_many_raw((ctx.event,))
-
-        def push_batch(ctx):
-            return self._push_many_raw(ctx.events)
-
-        self._chain_push = stack.chain("on_push", push_one)
-        self._chain_push_many = stack.chain("on_push_many", push_batch)
-        # a middleware that hooks only ``on_push`` still sees every
-        # event of a batch: innermost in the ``on_push_many`` chain the
-        # batch passes those hooks one event at a time
-        per_event = self._chain_push and MiddlewareStack(
-            mw for mw in stack.middlewares
-            if not _implements(mw, "on_push_many")).chain("on_push", push_one)
-        if per_event is not None:
-            def push_each(ctx):
-                events, ctx.events = ctx.events, None
-                ctx.hook = "on_push"
-                matches: list[ComplexEvent] = []
-                for ctx.event in events:
-                    matches.extend(per_event(ctx) or ())
-                return matches
-
-            self._chain_push_many = \
-                stack.chain("on_push_many", push_each) or push_each
+        self._chain_push_many = stack.chain(
+            "on_push_many", lambda ctx: self._push_many_raw(ctx.events))
         self._chain_flush = stack.chain(
             "on_flush", lambda ctx: self._flush_raw())
         self._chain_match = stack.chain("on_match", lambda ctx: ctx.match)
         self._chain_error = stack.chain(
             "on_error", lambda ctx: self._sink_errors.append(
                 (ctx.sink, ctx.match, ctx.error)))
-        self._mw_ctx = MiddlewareContext(session=self,
-                                         attachment=self.attachment)
-
-    def bind_attachment(self, attachment) -> None:
-        """Hub-internal: stamp the owning attachment so middleware
-        contexts (and bucket keys, metric labels, ...) can name it."""
-        self.attachment = attachment
-        if self._mw_ctx is not None:
-            self._mw_ctx.attachment = attachment
 
     # -- primitive hooks ---------------------------------------------------
 
@@ -221,21 +189,15 @@ class Session(abc.ABC):
 
         Lazy sessions always return ``[]`` (everything surfaces at
         ``flush``).  With middleware installed the event routes through
-        the ``on_push`` chain first: hooks may transform it or
-        short-circuit (drop), in which case ``[]`` is returned and the
-        core never sees the event.
+        the ``on_push_many`` chain as a 1-element batch first: hooks may
+        transform it or short-circuit (drop), in which case ``[]`` is
+        returned and the core never sees the event.
         """
         if self._closed or self._flushed:  # inline: the per-event path
             self._require_open("push")
-        chain = self._chain_push
-        if chain is None:
+        if self._chain_push_many is None:
             return self._push_many_raw((event,))
-        ctx = self._mw_ctx
-        ctx.hook = "on_push"
-        ctx.event = event
-        ctx.events = None
-        result = chain(ctx)
-        return [] if result is None else result
+        return self.push_many([event])
 
     def push_many(self, events: Iterable[Event]) -> list[ComplexEvent]:
         """Offer a batch of events; return the matches they validated.
@@ -246,19 +208,16 @@ class Session(abc.ABC):
         ``[m for e in events for m in push(e)]`` — per-event emission
         granularity is traded for throughput within the batch; across
         batches nothing changes.  The ``on_push_many`` chain may trim or
-        replace the batch before the core ingests it; a middleware that
-        hooks only ``on_push`` then sees the batch one event at a time.
+        replace the batch before the core ingests it.
         """
         if self._closed or self._flushed:
             self._require_open("push_many")
         chain = self._chain_push_many
         if chain is None:
             return self._push_many_raw(events)
-        ctx = self._mw_ctx
-        ctx.hook = "on_push_many"
-        ctx.event = None
-        ctx.events = events if isinstance(events, list) else list(events)
-        result = chain(ctx)
+        result = chain(MiddlewareContext(
+            "on_push_many", session=self, attachment=self.attachment,
+            events=events if isinstance(events, list) else list(events)))
         return [] if result is None else result
 
     def _push_many_raw(self, events: Iterable[Event]) -> list[ComplexEvent]:
@@ -290,11 +249,8 @@ class Session(abc.ABC):
         if chain is None:
             matches = self._flush_raw()
         else:
-            ctx = self._mw_ctx
-            ctx.hook = "on_flush"
-            ctx.event = None
-            ctx.events = None
-            matches = chain(ctx)
+            matches = chain(MiddlewareContext(
+                "on_flush", session=self, attachment=self.attachment))
             matches = [] if matches is None else matches
         self._raise_sink_errors(matches)
         return matches

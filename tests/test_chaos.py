@@ -7,6 +7,7 @@ faulted hub ingested, and injected connection resets never cost a
 durable subscriber a match (exactly-once by cursor)."""
 
 import asyncio
+import hashlib
 
 import pytest
 
@@ -86,6 +87,40 @@ class TestEffectiveStream:
             ChaosConfig(seed=12, drop_rate=0.05, dup_rate=0.05,
                         delay_rate=0.05), EVENTS)
         assert one != other, "different seed must perturb differently"
+
+    def test_seeded_stream_is_pinned(self):
+        """The seeded post-fault stream is a contract (every chaos
+        parity oracle is built from it), and per-event ``push`` is its
+        1-element chunking — with ``max_held`` small enough to be hit."""
+        cfg = ChaosConfig(seed=11, drop_rate=0.05, dup_rate=0.05,
+                          delay_rate=0.3, max_held=4)
+
+        def seqs(events, chunk):
+            return [e.seq for e in effective_stream(cfg, events,
+                                                    chunk=chunk)]
+
+        def digest(chunk):
+            return hashlib.sha256(
+                repr(seqs(EVENTS, chunk)).encode()).hexdigest()[:16]
+
+        per_push = [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 11, 12, 12, 13, 14, 16,
+            17, 18, 19, 20, 22, 23, 23, 24, 25, 27, 28, 29, 30, 31, 32, 33,
+            34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 43, 44, 45, 46, 47, 48,
+            49, 51, 52, 53, 54, 55, 56, 56, 57, 58, 59, 60, 60, 61, 62, 63,
+            64, 65, 66, 67, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78,
+            79]
+        assert seqs(EVENTS[:80], None) == per_push
+        assert seqs(EVENTS[:80], 1) == per_push
+        assert seqs(EVENTS[:80], 64) == [
+            0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 10, 12, 12, 13, 14, 16, 17, 18,
+            19, 22, 23, 23, 25, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,
+            38, 39, 40, 41, 42, 43, 43, 44, 45, 46, 47, 48, 49, 51, 52, 53,
+            54, 55, 56, 56, 57, 58, 59, 60, 60, 61, 62, 63, 6, 11, 20, 24,
+            67, 67, 68, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 64, 65, 66,
+            69]
+        assert digest(None) == digest(1) == "bef4812c4b466a44"
+        assert digest(64) == "56e96b381d50ff92"
 
     def test_chunked_is_same_multiset(self):
         # per-event and chunked ingestion release held (delayed) events

@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.events import make_event
 from repro.hub.aio import AsyncStreamHub
-from repro.middleware.base import restrict
+from repro.middleware.base import HOOKS, restrict
 from repro.middleware.sinks import SinkDispatchMiddleware, SinkError
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
@@ -70,15 +70,15 @@ class Recorder(Middleware):
         self.log.append((self.tag, context.hook, "exit"))
         return result
 
-    on_push = on_push_many = on_flush = _wrap
+    on_push_many = on_flush = _wrap
     on_attach = on_detach = on_match = on_error = _wrap
 
 
 class TestChainMechanics:
     def test_noop_chain_is_not_built(self):
         stack = MiddlewareStack([Middleware()])
-        for hook in ("on_push", "on_push_many", "on_flush", "on_attach",
-                     "on_detach", "on_match", "on_error"):
+        assert len(HOOKS) == 6
+        for hook in HOOKS:
             assert stack.chain(hook, lambda ctx: ctx) is None
             assert stack.async_chain(hook, lambda ctx: ctx) is None
 
@@ -88,51 +88,67 @@ class TestChainMechanics:
                 return call_next(context)
 
         stack = MiddlewareStack([MatchOnly()])
-        assert stack.chain("on_push", lambda ctx: ctx) is None
+        assert stack.chain("on_push_many", lambda ctx: ctx) is None
         assert stack.chain("on_match", lambda ctx: ctx) is not None
         assert stack.hooked("on_match")
-        assert not stack.hooked("on_push")
+        assert not stack.hooked("on_push_many")
 
     def test_onion_ordering_first_installed_outermost(self):
         log = []
         stack = MiddlewareStack([Recorder("outer", log),
                                  Recorder("inner", log)])
-        chain = stack.chain("on_push", lambda ctx: log.append("core"))
-        chain(MiddlewareContext("on_push"))
-        assert log == [("outer", "on_push", "enter"),
-                       ("inner", "on_push", "enter"),
+        chain = stack.chain("on_push_many", lambda ctx: log.append("core"))
+        chain(MiddlewareContext("on_push_many"))
+        assert log == [("outer", "on_push_many", "enter"),
+                       ("inner", "on_push_many", "enter"),
                        "core",
-                       ("inner", "on_push", "exit"),
-                       ("outer", "on_push", "exit")]
+                       ("inner", "on_push_many", "exit"),
+                       ("outer", "on_push_many", "exit")]
 
     def test_short_circuit_skips_terminal_and_inner_hooks(self):
         log = []
 
         class Shed(Middleware):
-            def on_push(self, context, call_next):
+            def on_push_many(self, context, call_next):
                 return None  # never calls call_next
 
         stack = MiddlewareStack([Shed(), Recorder("inner", log)])
-        chain = stack.chain("on_push", lambda ctx: log.append("core"))
-        assert chain(MiddlewareContext("on_push")) is None
+        chain = stack.chain("on_push_many", lambda ctx: log.append("core"))
+        assert chain(MiddlewareContext("on_push_many")) is None
         assert log == []
 
     def test_transform_reaches_terminal(self):
         class Double(Middleware):
-            def on_push(self, context, call_next):
-                context.event = context.event * 2
+            def on_push_many(self, context, call_next):
+                context.events = [event * 2 for event in context.events]
                 return call_next(context)
 
         stack = MiddlewareStack([Double()])
-        chain = stack.chain("on_push", lambda ctx: ctx.event)
-        ctx = MiddlewareContext("on_push", event=21)
-        assert chain(ctx) == 42
+        chain = stack.chain("on_push_many", lambda ctx: ctx.events)
+        ctx = MiddlewareContext("on_push_many", events=[21])
+        assert chain(ctx) == [42]
+
+    def test_single_event_hook_is_refused_loudly(self):
+        """``on_push`` is gone; a class still defining it would never
+        be called, so installing one is an error, not a no-op."""
+        class Legacy(Middleware):
+            def on_push(self, context, call_next):
+                return call_next(context)
+
+        for install in (lambda: MiddlewareStack([Legacy()]),
+                        lambda: restrict(Legacy(), ("on_match",)),
+                        lambda: StreamHub(middleware=[Legacy()]),
+                        lambda: pipeline(abc_query()).use(Legacy()).open()):
+            with pytest.raises(TypeError, match=r"Legacy defines on_push.*"
+                               r"implement on_push_many.*1-element batch"):
+                install()
+        assert not hasattr(MiddlewareContext(), "event")
 
     def test_restrict_exposes_only_named_hooks(self):
         log = []
         restricted = restrict(Recorder("r", log), ("on_match",))
         stack = MiddlewareStack([restricted])
-        assert stack.chain("on_push", lambda ctx: None) is None
+        assert stack.chain("on_push_many", lambda ctx: None) is None
         chain = stack.chain("on_match", lambda ctx: ctx.match)
         chain(MiddlewareContext("on_match", match="m"))
         assert [entry[1] for entry in log] == ["on_match", "on_match"]
@@ -141,14 +157,14 @@ class TestChainMechanics:
         log = []
 
         class AsyncHook(Middleware):
-            async def on_push(self, context, call_next):
+            async def on_push_many(self, context, call_next):
                 log.append("async-enter")
                 result = await call_next(context)
                 log.append("async-exit")
                 return result
 
         class SyncHook(Middleware):
-            def on_push(self, context, call_next):
+            def on_push_many(self, context, call_next):
                 log.append("sync-enter")
                 return call_next(context)
 
@@ -157,9 +173,9 @@ class TestChainMechanics:
             return "ok"
 
         chain = MiddlewareStack([AsyncHook(), SyncHook()]) \
-            .async_chain("on_push", terminal)
+            .async_chain("on_push_many", terminal)
 
-        assert asyncio.run(chain(MiddlewareContext("on_push"))) == "ok"
+        assert asyncio.run(chain(MiddlewareContext("on_push_many"))) == "ok"
         assert log == ["async-enter", "sync-enter", "core", "async-exit"]
 
 
@@ -167,7 +183,6 @@ class TestPipelineMiddleware:
     def test_noop_middleware_keeps_hot_path_chains_unbuilt(self):
         session = pipeline(abc_query()).engine("sequential") \
             .use(Middleware()).open()
-        assert session._chain_push is None
         assert session._chain_push_many is None
         assert session._chain_flush is None
         session.close()
@@ -189,10 +204,10 @@ class TestPipelineMiddleware:
 
     def test_push_shed_short_circuits_the_core(self):
         class DropX(Middleware):
-            def on_push(self, context, call_next):
-                if context.event.etype == "X":
-                    return None
-                return call_next(context)
+            def on_push_many(self, context, call_next):
+                context.events = [e for e in context.events
+                                  if e.etype != "X"]
+                return call_next(context) if context.events else None
 
         events = abc_stream()
         filtered = [e for e in events if e.etype != "X"]
@@ -220,54 +235,6 @@ class TestPipelineMiddleware:
             .use(KeepHalf()).open()
         session.push_many(abc_stream(20))
         assert session.events_pushed == 10
-        session.close()
-
-    def test_push_only_middleware_sees_every_event_of_a_batch(self):
-        """``run()`` and ``push_many`` feed batches; a middleware that
-        hooks only ``on_push`` still filters and counts per event —
-        alone, and inside a chain that also hooks ``on_push_many``."""
-        class DropX(Middleware):
-            calls = 0
-
-            def on_push(self, context, call_next):
-                assert context.hook == "on_push" and context.events is None
-                self.calls += 1
-                if context.event.etype == "X":
-                    return None
-                return call_next(context)
-
-        class KeepHalf(Middleware):
-            def on_push_many(self, context, call_next):
-                context.events = context.events[:len(context.events) // 2]
-                return call_next(context)
-
-        events = abc_stream()
-        filtered = [e for e in events if e.etype != "X"]
-        expected = pipeline(abc_query()).engine("sequential").run(filtered)
-        assert expected.complex_events
-
-        drop = DropX()
-        result = pipeline(abc_query()).engine("sequential").use(drop) \
-            .run(events)
-        assert drop.calls == len(events)
-        assert result.identities() == expected.identities()
-
-        drop = DropX()
-        session = pipeline(abc_query()).engine("sequential").use(drop) \
-            .use(MetricsMiddleware()).open()
-        matches = session.push_many(events) + session.flush()
-        assert drop.calls == len(events)
-        assert session.events_pushed == len(filtered)
-        assert [ce.identity() for ce in matches] == expected.identities()
-        session.close()
-
-        drop = DropX()
-        session = pipeline(abc_query()).engine("sequential") \
-            .use(KeepHalf()).use(drop).open()
-        session.push_many(events[:20])
-        assert drop.calls == 10     # the batch hook trimmed first
-        assert session.events_pushed == \
-            sum(e.etype != "X" for e in events[:10])
         session.close()
 
     def test_match_suppression_hides_from_sinks_and_caller(self):
@@ -517,6 +484,10 @@ class TestProductionMiddlewares:
         assert snap["repro_matches_total"]["scope=session"] \
             == float(len(matches))
         assert snap["repro_flushes_total"]["scope=session"] == 1.0
+        # a single push is a 1-event batch: counted, and it moves the
+        # watermark gauge like any other batch
+        assert snap["repro_push_batches_total"]["scope=session"] == 60.0
+        assert "scope=session" in snap["repro_watermark"]
         text = metrics.render()
         assert "# TYPE repro_events_pushed_total counter" in text
         assert 'repro_matches_total{scope="session"}' in text
@@ -543,8 +514,13 @@ class TestProductionMiddlewares:
             session.push(event)
         records = trace.records
         assert len(records) == 5
-        assert all(r["hook"] in ("on_push", "on_match") for r in records)
+        assert all(r["hook"] in ("on_push_many", "on_match")
+                   for r in records)
         assert records[-1]["n"] > 5  # counter keeps running past the ring
+        for record in records:  # one record shape, single pushes too
+            if record["hook"] == "on_push_many":
+                assert record["count"] == 1
+                assert record["first_seq"] == record["last_seq"]
         trace.clear()
         assert trace.records == []
         session.abort()
@@ -560,14 +536,13 @@ class TestProductionMiddlewares:
         hooks = {r["hook"] for r in trace.records}
         assert "on_attach" in {r["hook"] for r in trace.records} \
             or len(trace.records) == 16  # attach may have rolled off
-        assert "on_detach" in hooks or "on_push" in hooks
+        assert "on_detach" in hooks or "on_push_many" in hooks
         json.dumps(trace.records)  # must not raise
 
 
 class TestHubMiddleware:
     def test_hub_noop_chain_guard(self):
         hub = StreamHub(middleware=[Middleware()])
-        assert hub._chain_push is None
         assert hub._chain_push_many is None
         assert hub._chain_flush is None
         hub.close()
@@ -602,7 +577,7 @@ class TestHubMiddleware:
         q3 = parse_query(TYPED_QUERY, name="q3", compile=True)
 
         class Ingest(Middleware):
-            def on_push(self, context, call_next):
+            def on_push_many(self, context, call_next):
                 return call_next(context)
 
         class MatchOnly(Middleware):
@@ -698,7 +673,7 @@ class TestAsyncMiddleware:
         log = []
 
         class AsyncAudit(Middleware):
-            async def on_push(self, context, call_next):
+            async def on_push_many(self, context, call_next):
                 log.append("push")
                 return await call_next(context)
 
@@ -725,6 +700,26 @@ class TestAsyncMiddleware:
         got = self.run(main())
         assert log.count("push") == 60 and log.count("flush") == 1
         assert got  # matches flowed through the intercepted path
+
+    def test_attach_context_carries_a_parsed_query(self):
+        """Regression: query *text* is parsed before the ``on_attach``
+        chain, as on the sync hub — a hook reading ``context.query.name``
+        (``TraceMiddleware`` does) used to get the raw string."""
+        trace = TraceMiddleware()
+
+        async def main():
+            async with AsyncStreamHub(middleware=[trace]) as hub:
+                attachment = hub.attach(
+                    "PATTERN (A B) WITHIN 6 events FROM every 3 events",
+                    engine="sequential", name="q")
+                with pytest.raises(ValueError, match="params="):
+                    hub.attach(abc_query(), engine="sequential",
+                               params={"limit": 1})
+                return attachment.query.name
+
+        assert self.run(main()) == "q"
+        (record,) = [r for r in trace.records if r["hook"] == "on_attach"]
+        assert record["query"] == record["scope"] == "q"
 
     def test_async_match_suppression_and_metrics(self):
         metrics = MetricsMiddleware()

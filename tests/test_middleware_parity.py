@@ -10,21 +10,39 @@ hook) emits exactly the matches of the bare run, across:
   — the REPRO_COMPILE axis),
 * per-event ``push`` and chunked ``push_many`` ingestion,
 * sink delivery and queue (drain) delivery.
+
+And for the chains that *do* transform — every shipped ingest policy —
+``push(e)`` is ``push_many([e])``: however the stream is cut into
+batches, the matches are those of the bare layer over what the policy
+let through.
 """
 
+import asyncio
 import random
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
     MetricsMiddleware,
     Middleware,
+    RateLimitMiddleware,
     StreamHub,
     TraceMiddleware,
+    ValidationMiddleware,
     pipeline,
 )
+from repro.durability.manager import DurabilityManager
+from repro.durability.middleware import DurabilityMiddleware
+from repro.durability.recorder import RunLog, load_run
+from repro.durability.wal import iter_records
 from repro.events import make_event
+from repro.events.wire import unpack_event
+from repro.hub.aio import AsyncStreamHub
 from repro.patterns import parse_query
+from repro.resilience import ChaosConfig, ChaosMiddleware
 
 N_TYPES = 3
 WINDOWS = ((6, 3), (8, 4), (5, 5))
@@ -211,3 +229,152 @@ class TestSinkIsolationParity:
             == [ce.constituent_seqs for ce in healthy_alone]
         assert raised == bool(healthy)
         assert attachment.stats().sink_errors == len(healthy)
+
+
+# -- push(e) is push_many([e]) under every shipped ingest policy -------------
+
+class Tap(Middleware):
+    """Innermost observer: the stream the policy outside it let through."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_push_many(self, context, call_next):
+        self.events.extend(context.events)
+        return call_next(context)
+
+
+def drive(layer, query, plan, middleware=(), durability=None):
+    """Run ``plan`` — ``(operation, argument)`` pairs — against one
+    layer holding ``query``; return the delivered match identities."""
+    got = []
+    if layer == "session":
+        builder = pipeline(query).engine("sequential").sink(got.append)
+        for mw in middleware:
+            builder = builder.use(mw)
+        with builder.open() as session:
+            for operation, argument in plan:
+                getattr(session, operation)(argument)
+    elif layer == "hub":
+        with StreamHub(middleware=middleware) as hub:
+            hub.attach(query, engine="sequential", sink=got.append)
+            for operation, argument in plan:
+                getattr(hub, operation)(argument)
+    else:
+        async def main():
+            async with AsyncStreamHub(middleware=list(middleware),
+                                      durability=durability) as hub:
+                hub.attach(query, engine="sequential", sink=got.append)
+                for operation, argument in plan:
+                    await getattr(hub, operation)(argument)
+        asyncio.run(main())
+    return [ce.identity() for ce in got]
+
+
+LAYERS = ("session", "hub", "async")
+
+
+def tapped(make_policy, counters):
+    """A policy kept in memory: an innermost :class:`Tap` sees its
+    output, ``counters(policy)`` are its chunking-independent totals."""
+    def install(layer, directory):
+        policy, tap = make_policy(), Tap()
+        return ({"middleware": [policy, tap]},
+                lambda: (tap.events, counters(policy)))
+    return install
+
+
+def journalled(layer, directory):
+    """Durability: the policy's output is what the log holds.  A run
+    log at session and hub scope; under the asyncio facade the
+    manager's WAL, where the middleware rides the inner sync hub."""
+    if layer == "async":
+        manager = DurabilityManager(directory)
+
+        def logged():
+            manager.close(checkpoint=False)
+            return [record for _, record in iter_records(directory)]
+        installed = {"durability": manager}
+    else:
+        log = RunLog(directory / "run.wal", config={})
+
+        def logged():
+            log.close()
+            return load_run(log.path)[1]
+        installed = {"middleware": [DurabilityMiddleware(log)]}
+
+    def observe():
+        events = [unpack_event(row) for record in logged()
+                  if record["t"] == "push" for row in record["events"]]
+        return events, len(events)
+    return installed, observe
+
+
+PRICE = {"types": {"price": float}}
+CHAOS = ChaosConfig(seed=3, drop_rate=0.1, dup_rate=0.1, delay_rate=0.2,
+                    max_held=2)
+#: name -> (install(layer, directory) -> (layer kwargs, observe), layers)
+INGEST_POLICIES = {
+    "validation-null": (tapped(
+        lambda: ValidationMiddleware(**PRICE),
+        lambda mw: (mw.events_nulled, mw.attributes_nulled)), LAYERS),
+    "validation-reject": (tapped(
+        lambda: ValidationMiddleware(**PRICE, policy="reject"),
+        lambda mw: mw.events_rejected), LAYERS),
+    "ratelimit": (tapped(
+        lambda: RateLimitMiddleware(1.0, burst=20, clock=lambda: 0.0),
+        lambda mw: (mw.shed_total, dict(mw.shed_by_key))), LAYERS),
+    # hub-scoped by contract: a session has nowhere to re-inject the
+    # events still held at flush.  max_held is hit, so only *when* a
+    # held event re-enters may move with the chunking
+    "chaos": (tapped(
+        lambda: ChaosMiddleware(CHAOS),
+        lambda mw: ([mw.counters[key] for key in (
+            "events_seen", "events_dropped", "events_duplicated")],
+            mw.counters["events_released"] - mw.counters["events_delayed"],
+            mw.held)), ("hub", "async")),
+    "metrics": (tapped(
+        MetricsMiddleware,
+        lambda mw: mw.snapshot()["repro_events_pushed_total"]), LAYERS),
+    "durability": (journalled, LAYERS),
+}
+chunk_sizes = st.one_of(
+    st.just([1]), st.just([10 ** 6]),
+    st.lists(st.integers(1, 12), min_size=1, max_size=8))
+
+
+class TestPushIsTheOneElementBatch:
+    @pytest.mark.parametrize("policy", sorted(INGEST_POLICIES))
+    @settings(max_examples=10, deadline=None)
+    @given(rows=event_rows, sizes=chunk_sizes)
+    def test_matches_and_counters_do_not_depend_on_chunking(
+            self, policy, rows, sizes):
+        # every fifth price is malformed, so validation has work to do
+        events = [make_event(index, f"t{etype}", timestamp=float(index),
+                             price="?" if price % 5 == 0 else price / 100)
+                  for index, (etype, price) in enumerate(rows)]
+        query = make_typed_query(0, 0, 1, (6, 3), None)
+        chunks, start = [], 0
+        while start < len(events):
+            size = sizes[len(chunks) % len(sizes)]
+            chunks.append(events[start:start + size])
+            start += size
+        plans = ([("push", event) for event in events],
+                 [("push_many", [event]) for event in events],
+                 [("push_many", chunk) for chunk in chunks])
+        install, layers = INGEST_POLICIES[policy]
+        for layer in layers:
+            runs = []
+            for plan in plans:
+                with tempfile.TemporaryDirectory() as directory:
+                    installed, observe = install(layer, Path(directory))
+                    matches = drive(layer, query, plan, **installed)
+                    passed, counters = observe()
+                # the bare layer over what the policy let through
+                assert matches == drive(layer, query,
+                                        [("push_many", passed)])
+                runs.append((matches, [e.seq for e in passed], counters))
+            single, singleton_batch, chunked = runs
+            assert single == singleton_batch
+            assert chunked[2] == single[2]
+            assert sorted(chunked[1]) == sorted(single[1])

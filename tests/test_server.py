@@ -166,6 +166,32 @@ class TestEndToEnd:
 
         assert run_async(scenario()) == expected
 
+    def test_traced_server_acks_subscribe_and_delivers(self):
+        """Regression (``serve --tcp ... --trace``): a ``subscribe``
+        carries query *text*; the hub parses it before its ``on_attach``
+        chain, so a ``TraceMiddleware`` on the server no longer kills
+        the connection reading ``context.query.name``."""
+        from repro.middleware import TraceMiddleware
+        trace = TraceMiddleware(capacity=64)
+        events = typed_stream(30)
+
+        async def scenario():
+            config = ServerConfig(engine="sequential", middleware=(trace,))
+            async with serve(config) as (core, tcp, ws):
+                client = await ServerClient.connect("127.0.0.1",
+                                                    tcp.port)
+                await client.hello()
+                sub = await client.subscribe(ABC_TEXT, name="abc")
+                await client.push_many(events)
+                await client.flush()
+                seqs = await collect_until_final(client, sub)
+                await client.close()
+                return seqs
+
+        assert run_async(scenario()) == alone_seqs(ABC_TEXT, events)
+        attached = [r for r in trace.records if r["hook"] == "on_attach"]
+        assert len(attached) == 1 and "abc" in attached[0]["query"]
+
     def test_acceptance_two_ws_subscribers_one_tcp_pusher(self):
         """The PR's acceptance scenario: two concurrent WebSocket
         subscribers with *different* queries and one TCP pusher; each

@@ -716,7 +716,7 @@ def cmd_record(args: argparse.Namespace) -> int:
         log.close()
     for name, _path in specs:
         print(f"{name}: {counts.get(name, 0)} matches")
-    print(f"recorded {log.events_recorded} events, "
+    print(f"recorded {log.events_logged} events, "
           f"{log.matches_recorded} matches from {len(specs)} queries "
           f"to {args.out}")
     return 0

@@ -7,12 +7,16 @@ Layers (each usable alone):
   tolerant log segments and atomic snapshot files,
 * :mod:`repro.durability.snapshot` — what a checkpoint captures and
   how the safe replay cut is computed,
+* :mod:`repro.durability.journal` — the record grammar: the one
+  writer (:class:`Journal`), reader and interpreter
+  (:func:`apply_record`) of what those segments hold,
 * :mod:`repro.durability.middleware` — the journal seam riding the
   interception pipeline,
-* :mod:`repro.durability.manager` — :class:`DurabilityManager` (WAL +
-  checkpoints + recovery) and the :class:`DurableHub` wrapper,
+* :mod:`repro.durability.manager` — :class:`DurabilityManager` (the
+  journal + checkpoints + recovery) and the :class:`DurableHub` wrapper,
 * :mod:`repro.durability.recorder` — LIVE/REPLAY/VERIFY run recording
-  (``python -m repro record / replay / verify-run``).
+  over the same journal (``python -m repro record / replay /
+  verify-run``); a WAL segment nobody checkpointed is a run log.
 """
 
 from repro.durability.manager import (
@@ -24,7 +28,6 @@ from repro.durability.middleware import DurabilityMiddleware
 from repro.durability.recorder import (
     ReplayError,
     RunLog,
-    RunMode,
     VerifyReport,
     recording_hub,
     replay_run,
@@ -48,7 +51,6 @@ __all__ = [
     "DurableHub",
     "RecoveryReport",
     "DurabilityMiddleware",
-    "RunMode",
     "RunLog",
     "ReplayError",
     "VerifyReport",

@@ -20,12 +20,13 @@ recovered hub emits **exactly** the matches the crashed run had not
 yet delivered — no loss, no duplication, asserted by the
 crash-injection suite.
 
-The manager is the journal behind
-:class:`~repro.durability.middleware.DurabilityMiddleware` and the
-checkpoint scheduler behind :class:`DurableHub` (sync) and the
-network server (``serve --wal``).  A durable *cursor* — the count of
-matches ever emitted per attachment — is assigned at emit-log time
-and is the unit of subscription resume (``client --resume-from``).
+The manager is the :class:`~repro.durability.journal.Journal` behind
+:class:`~repro.durability.middleware.DurabilityMiddleware` (the record
+grammar is the journal's; segments, checkpoints and suppression are
+the policy added here) and the checkpoint scheduler behind
+:class:`DurableHub` (sync) and the network server (``serve --wal``).
+The durable *cursor* the journal assigns at emit-log time is the unit
+of subscription resume (``client --resume-from``).
 
 Caveats (documented, by design):
 
@@ -50,11 +51,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.durability.journal import (
+    Journal,
+    apply_record,
+    attach_from_record,
+    emits,
+    hub_config,
+    meta_config,
+    open_hub,
+)
 from repro.durability.middleware import DurabilityMiddleware
 from repro.durability.snapshot import (
     build_snapshot,
     compute_cut,
-    hub_config,
     sorter_state,
     suffix_events,
 )
@@ -62,7 +71,6 @@ from repro.durability.wal import (
     SnapshotError,
     WalWriter,
     iter_records,
-    json_safe_float,
     list_segments,
     list_snapshots,
     read_snapshot,
@@ -72,9 +80,7 @@ from repro.durability.wal import (
     write_snapshot,
 )
 from repro.events.event import Event
-from repro.events.wire import unpack_event
 from repro.hub.core import Attachment, StreamHub
-from repro.patterns.parser import parse_query
 
 __all__ = ["DurabilityManager", "DurableHub", "RecoveryReport"]
 
@@ -116,9 +122,10 @@ class RecoveryReport:
         }
 
 
-class DurabilityManager:
-    """WAL writer, checkpoint scheduler and recovery driver for one
-    hub (see the module docstring for the directory layout)."""
+class DurabilityManager(Journal):
+    """The journal over rotating WAL segments plus its policy —
+    checkpoint scheduler and recovery driver for one hub (directory
+    layout in the module docstring)."""
 
     def __init__(self, directory: Path | str, *,
                  checkpoint_every: int = 10_000,
@@ -126,6 +133,7 @@ class DurabilityManager:
                  default_durable: bool = True,
                  keep_segments: Optional[int] = None,
                  wal_write_retries: int = 2) -> None:
+        super().__init__()  # no writer until start() opens a segment
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = int(checkpoint_every)
@@ -146,18 +154,15 @@ class DurabilityManager:
         self.wal_writer_wrapper: Optional[Callable] = None
         self.middleware = DurabilityMiddleware(self)
         self._hub: Optional[StreamHub] = None
-        self._writer: Optional[WalWriter] = None
         self._segment = 0
         self._recovering = False
-        self._closed = False
-        # per-attachment durable state
-        self._cursors: dict[str, int] = {}
+        # per-attachment durable state (cursors are the journal's)
         self._emitted: dict[str, Counter] = {}
         self._debt: dict[str, Counter] = {}       # recovery suppression
         self._attach_meta: dict[str, dict] = {}
         self._next_durable: Optional[bool] = None  # set_durable() latch
         # checkpoint bookkeeping
-        self.events_since_checkpoint = 0
+        self._logged_at_checkpoint = 0
         self.checkpoints_total = 0
         self._last_checkpoint_monotonic = time.monotonic()
         self._last_snapshot_bytes = 0
@@ -200,35 +205,25 @@ class DurabilityManager:
         """
         if self._hub is not None:
             raise RuntimeError("manager already started")
+        config = hub_config(slack=slack, late_policy=late_policy,
+                            share=share, queue_size=queue_size,
+                            overflow=overflow)
         if self.has_state():
             return self._recover(middleware=middleware,
                                  restore_filter=restore_filter,
                                  sink_provider=sink_provider,
-                                 fallback_config={
-                                     "slack": slack,
-                                     "late_policy": late_policy,
-                                     "share": share,
-                                     "queue_size": queue_size,
-                                     "overflow": overflow})
-        hub = self._make_hub({"slack": slack, "late_policy": late_policy,
-                              "share": share, "queue_size": queue_size,
-                              "overflow": overflow},
-                             middleware)
+                                 fallback_config=config)
+        hub = self._make_hub(config, middleware)
         self._segment = 1
         self._open_segment()
         return hub
 
     def _make_hub(self, config: dict, middleware: Iterable) -> StreamHub:
-        hub = StreamHub(slack=config["slack"],
-                        late_policy=config["late_policy"],
-                        share=config["share"],
-                        queue_size=config["queue_size"],
-                        overflow=config["overflow"],
-                        middleware=[*middleware, self.middleware])
+        self._config = hub_config(**config)
+        hub = open_hub(self._config, [*middleware, self.middleware])
         hub.retain_released()
         hub.durability = self
         self._hub = hub
-        self._config = dict(config)
         return hub
 
     def _open_segment(self) -> None:
@@ -237,10 +232,8 @@ class DurabilityManager:
         if self.wal_writer_wrapper is not None:
             writer = self.wal_writer_wrapper(writer)
         self._writer = writer
-        if self._writer.records_written == 0 and \
-                self._writer.bytes_written <= 10:
-            self._append({"t": "meta", "segment": self._segment,
-                          "hub": self._config})
+        if writer.records_written == 0 and writer.bytes_written <= 10:
+            self.log_meta(self._config, segment=self._segment)
 
     def _append(self, record: dict) -> None:
         """Append one record, riding out transient write failures:
@@ -258,75 +251,38 @@ class DurabilityManager:
     def close(self, *, checkpoint: bool = True) -> None:
         """Flush the log to disk (and by default take a final
         checkpoint so the next start recovers instantly)."""
-        if self._closed:
-            return
-        if checkpoint and self._hub is not None and \
-                self._writer is not None:
+        if self._writer is None:
+            return  # never started, or closed already
+        if checkpoint and self._hub is not None:
             self.checkpoint()
-        if self._writer is not None:
-            self._writer.close()
-        self._closed = True
+        super().close()
 
-    # -- journal protocol (called by DurabilityMiddleware) -----------------
+    # -- journal policy (the records themselves are Journal's) -------------
 
-    def log_push(self, events: Iterable[Event]) -> None:
-        if self._recovering or self._writer is None or self._closed:
-            return
-        events = list(events)
-        if not events:
-            return
-        # packed event rows (see repro.events.wire.pack_event), built
-        # inline: this runs once per ingested batch on the hot path
-        self._append(
-            {"t": "push",
-             "events": [[e.seq, e.etype, e.timestamp, e.attributes]
-                        for e in events]})
-        self.events_since_checkpoint += len(events)
+    def _logs_operations(self) -> bool:
+        # recovery re-executes operations the log already holds
+        return self._writer is not None and not self._recovering
 
-    def log_flush(self) -> None:
-        if self._recovering or self._writer is None or self._closed:
-            return
-        self._append({"t": "flush"})
-
-    def log_op_end(self) -> None:
-        """Per-operation durability boundary: one OS write for the
-        operation's push record and every emit it caused."""
-        if self._recovering or self._writer is None or self._closed:
-            return
-        self._writer.flush_os()
+    @property
+    def events_since_checkpoint(self) -> int:
+        """The checkpoint budget spent so far."""
+        return self.events_logged - self._logged_at_checkpoint
 
     def log_attach(self, attachment: Attachment) -> None:
         durable, self._next_durable = (
             self.default_durable if self._next_durable is None
             else self._next_durable), None
-        if self._recovering or self._writer is None or self._closed:
-            return
-        query = attachment.query
-        position = attachment.hub._position
-        options = attachment.engine_options
-        self._attach_meta[attachment.name] = {"durable": durable,
-                                              "pos": position}
-        self._append({
-            "t": "attach", "name": attachment.name,
-            "query": query.text,
-            "params": [[k, v] for k, v in (query.params or ())],
-            "engine": attachment.engine,
-            "options": dict(options),
-            "durable": durable, "pos": position})
-        self._writer.flush_os()  # lifecycle records are not batched
+        if self._logs_operations():
+            self._attach_meta[attachment.name] = {
+                "durable": durable, "pos": attachment.hub._position}
+            super().log_attach(attachment, durable=durable)
 
-    def log_detach(self, attachment, drain: bool = True) -> None:
-        name = getattr(attachment, "name", None)
-        if name is not None:
-            self._attach_meta.pop(name, None)
-            self._cursors.pop(name, None)
-            self._emitted.pop(name, None)
-            self._resume_floor.pop(name, None)
-        if self._recovering or self._writer is None or self._closed:
-            return
-        self._append({"t": "detach", "name": name,
-                      "drain": bool(drain)})
-        self._writer.flush_os()
+    def log_detach(self, attachment: Attachment,
+                   drain: bool = True) -> None:
+        for ledger in (self._attach_meta, self._emitted,
+                       self._resume_floor):
+            ledger.pop(attachment.name, None)
+        super().log_detach(attachment, drain)
 
     def set_durable(self, durable: Optional[bool]) -> None:
         """Latch the durable flag for the *next* attach (consumed by
@@ -346,24 +302,8 @@ class DurabilityManager:
                     debt[key] = count - 1
                 self.recovery_report.suppressed_matches += 1
                 return None
-        cursor = self._cursors.get(name, 0) + 1
-        self._cursors[name] = cursor
         self._emitted.setdefault(name, Counter())[key] += 1
-        if self._writer is not None and not self._closed:
-            # the compact match wire, built zero-copy (tuples encode as
-            # JSON arrays; the record is serialized immediately)
-            self._append({"t": "emit", "a": name, "c": cursor,
-                          "m": {"query": match.query_name,
-                                "window": match.window_id,
-                                "seqs": key,
-                                "etypes": [e.etype for e in
-                                           match.constituents],
-                                "attributes": match.attributes}})
-        return match
-
-    def cursor(self, name: str) -> int:
-        """Durable cursor of one attachment: matches emitted, ever."""
-        return self._cursors.get(name, 0)
+        return super().handle_match(name, match)
 
     def resume_floor(self, name: str) -> int:
         """The oldest cursor a subscription may still resume *after*:
@@ -388,7 +328,7 @@ class DurabilityManager:
         deleted after the rotation — their emit cursors first folded
         into the resume floor the snapshot persists."""
         hub = self.hub
-        if self._writer is None or self._closed:
+        if self._writer is None:
             raise RuntimeError("durability log is closed")
         cut = compute_cut(hub)
         done = self._segment
@@ -421,7 +361,7 @@ class DurabilityManager:
         if self.keep_segments is not None:
             self._gc_superseded(done - self.keep_segments, done)
         self.checkpoints_total += 1
-        self.events_since_checkpoint = 0
+        self._logged_at_checkpoint = self.events_logged
         self._last_checkpoint_monotonic = time.monotonic()
         return done
 
@@ -434,11 +374,7 @@ class DurabilityManager:
         for index, path in list_segments(self.directory):
             if index > horizon:
                 continue
-            for record in read_wal(path).records:
-                if record.get("t") != "emit":
-                    continue
-                name = record.get("a")
-                cursor = int(record.get("c", 0))
+            for name, cursor, _wire in emits(read_wal(path).records):
                 if cursor > self._resume_floor.get(name, 0):
                     self._resume_floor[name] = cursor
 
@@ -484,9 +420,12 @@ class DurabilityManager:
                 if index > (snapshot_segment or 0)]
         decode_seconds = time.perf_counter() - decode_started
 
-        config = hub_config(body) if body is not None \
-            else self._segment_config(tail, fallback_config)
-        hub = self._make_hub(config, middleware)
+        # the stored configuration wins: the snapshot's, or without one
+        # the first segment's meta record (the tail is every segment)
+        stored = body.get("hub") if body is not None else \
+            meta_config(tail[0][1].records if tail else [])
+        hub = self._make_hub({**fallback_config, **(stored or {})},
+                             middleware)
 
         # open the post-recovery segment *before* replaying: novel
         # matches surfacing during replay (their emit records were lost
@@ -525,30 +464,15 @@ class DurabilityManager:
                 continue  # torn/corrupt snapshot: fall back one
         return None, None
 
-    def _segment_config(self, tail: list, fallback: dict) -> dict:
-        """Without a snapshot the hub configuration is the first
-        segment's ``meta`` record (the tail is then every segment)."""
-        for _index, result in tail[:1]:
-            for record in result.records:
-                if record.get("t") == "meta" and "hub" in record:
-                    merged = dict(fallback)
-                    merged.update(record["hub"])
-                    return merged
-        return dict(fallback)
-
     def _restore_snapshot(self, body: dict, restore_filter,
                           sink_provider, report: RecoveryReport) -> None:
         hub = self.hub
         for record in body.get("attachments", []):
-            name = record.get("name")
-            if not restore_filter(record) or not record.get("query"):
-                report.skipped_attachments.append(name)
-                continue
-            attachment = self._reattach(record, sink_provider)
+            attachment = self._reattach(record, restore_filter,
+                                        sink_provider, report)
             if attachment is None:
-                report.skipped_attachments.append(name)
                 continue
-            report.restored_attachments.append(name)
+            name = attachment.name
             self._cursors[name] = int(record.get("cursor", 0))
             debt = Counter()
             for key, count in record.get("emitted", []):
@@ -588,33 +512,30 @@ class DurabilityManager:
         if body.get("flushed"):
             hub._flush_raw()
 
-    def _reattach(self, record: dict,
-                  sink_provider) -> Optional[Attachment]:
+    def _reattach(self, record: dict, restore_filter, sink_provider,
+                  report: RecoveryReport) -> Optional[Attachment]:
+        """Bring one attachment back from a snapshot entry or a tail
+        ``attach`` record.  One that is filtered out, has no source
+        text or is refused (unparseable text, rejected engine option,
+        name taken) is listed as skipped and recovery proceeds."""
         hub = self.hub
-        if record["name"] in hub._names:
+        name = record.get("name")
+        attachment = None
+        if restore_filter(record) and record.get("query") and \
+                name not in hub._names:
+            try:
+                attachment = attach_from_record(
+                    hub, record,
+                    sink_provider(record) if sink_provider else None)
+            except Exception:
+                pass  # counted: listed as skipped below
+        if attachment is None:
+            report.skipped_attachments.append(name)
             return None
-        params = dict(tuple(pair) for pair in record.get("params", []))
-        try:
-            query = parse_query(record["query"], name=record["name"],
-                                params=params)
-        except Exception:
-            return None
-        sink = sink_provider(record) if sink_provider else None
-        options = record.get("options") or {}
-        self._attach_meta[record["name"]] = {
+        report.restored_attachments.append(name)
+        self._attach_meta[name] = {
             "durable": bool(record.get("durable", True)),
-            "pos": record.get("admit_floor") or 0}
-        try:
-            attachment = hub.attach(
-                query, engine=record.get("engine", "sequential"),
-                name=record["name"], sink=sink,
-                overflow=None if sink else "drop_oldest",
-                **options)
-        except Exception:
-            return None
-        floor = record.get("admit_floor")
-        if floor is not None:
-            attachment._admit_floor = int(floor)
+            "pos": attachment._admit_floor or 0}
         return attachment
 
     def _collect_debt(self, tail: list) -> None:
@@ -622,15 +543,10 @@ class DurabilityManager:
         run delivered after the snapshot joins the suppression multiset
         (replay will regenerate it) and advances its cursor floor."""
         for _index, result in tail:
-            for record in result.records:
-                if record.get("t") != "emit":
-                    continue
-                name = record.get("a")
-                wire = record.get("m") or {}
+            for name, cursor, wire in emits(result.records):
                 key = tuple(wire.get("seqs") or ())
                 self._debt.setdefault(name, Counter())[key] += 1
                 self._emitted.setdefault(name, Counter())[key] += 1
-                cursor = int(record.get("c", 0))
                 if cursor > self._cursors.get(name, 0):
                     self._cursors[name] = cursor
 
@@ -639,45 +555,21 @@ class DurabilityManager:
         """Replay the decoded tail in log order; each ``push`` record
         re-enters the hub as the one batch it was logged as.  ``tail``
         is consumed: a segment's records are released once replayed."""
+        def attach(record: dict) -> None:
+            self._reattach(record, restore_filter, sink_provider, report)
+
         while tail:
             index, result = tail.pop(0)
             if result.torn:
                 report.torn_segments.append(index)
             report.segments_replayed += 1
             for record in result.records:
-                rtype = record.get("t")
-                if rtype == "push":
-                    events = [unpack_event(obj)
-                              for obj in record.get("events", [])]
+                events = apply_record(hub, record, attach)
+                if events:
+                    report.replayed_events += len(events)
                     self.max_replayed_seq = max(
                         self.max_replayed_seq,
-                        max((event.seq for event in events), default=-1))
-                    hub.ingest_replay(events)
-                    report.replayed_events += len(events)
-                elif rtype == "attach":
-                    if not restore_filter(record) or \
-                            not record.get("query"):
-                        report.skipped_attachments.append(
-                            record.get("name"))
-                        continue
-                    attach_record = dict(record)
-                    attach_record.setdefault("admit_floor",
-                                             record.get("pos"))
-                    attachment = self._reattach(attach_record,
-                                                sink_provider)
-                    if attachment is not None:
-                        report.restored_attachments.append(
-                            attachment.name)
-                elif rtype == "detach":
-                    name = record.get("name")
-                    for attachment in list(hub._attachments):
-                        if attachment.name == name:
-                            attachment.detach(
-                                drain=bool(record.get("drain", True)))
-                            break
-                elif rtype == "flush":
-                    if not hub._flushed:
-                        hub._flush_raw()
+                        max(event.seq for event in events))
 
     # -- resume / observability --------------------------------------------
 
@@ -690,12 +582,11 @@ class DurabilityManager:
         the walk is bounded by ``keep_segments``; callers must refuse
         ``after`` below :meth:`resume_floor` (GC'd records cannot be
         yielded, so the stream would silently gap)."""
-        for _index, record in iter_records(self.directory):
-            if record.get("t") != "emit" or record.get("a") != name:
-                continue
-            cursor = int(record.get("c", 0))
-            if cursor > after and (upto is None or cursor <= upto):
-                yield cursor, record.get("m") or {}
+        records = (record for _i, record in iter_records(self.directory))
+        for attachment, cursor, wire in emits(records):
+            if attachment == name and cursor > after and \
+                    (upto is None or cursor <= upto):
+                yield cursor, wire
 
     def wal_bytes(self) -> int:
         total = 0

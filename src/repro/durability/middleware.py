@@ -14,10 +14,11 @@ the log: installed (innermost) on a hub's middleware stack it
   append the ``emit`` record, and — during recovery — suppress
   matches the pre-crash run already delivered.
 
-The middleware is mechanism only; *what* is logged and when
-checkpoints happen is the :class:`~repro.durability.manager.
-DurabilityManager` (or the run recorder's lighter log) behind the
-``journal`` protocol::
+The middleware is mechanism only; the records are written by the one
+:class:`~repro.durability.journal.Journal` behind it (the
+:class:`~repro.durability.manager.DurabilityManager` adds when to
+checkpoint and what to suppress; the run recorder adds nothing)
+through the ``journal`` protocol::
 
     journal.log_push(events)          -> None
     journal.log_flush()               -> None

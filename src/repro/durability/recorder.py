@@ -1,8 +1,9 @@
 """Deterministic run recording: LIVE → REPLAY → VERIFY.
 
-A *run log* is one WAL file (same framing and record grammar as the
-durability log, ``fsync="never"`` by default — recording is a
-determinism tool, not crash insurance) capturing everything that
+A *run log* is one WAL file written by the same
+:class:`~repro.durability.journal.Journal` as the durability log — a
+segment nobody checkpointed (``fsync="never"`` by default: recording
+is a determinism tool, not crash insurance) — capturing everything that
 influenced a hub run: the hub configuration, every attach (query
 source text + params + engine + options), every ingested batch in
 released order, every detach/flush, and every emitted match with its
@@ -12,7 +13,8 @@ cursor.  The three modes:
   middleware journals to the run log while the application runs
   normally (``python -m repro record`` does this for a CSV workload),
 * **REPLAY** — :func:`replay_run` rebuilds the hub from the log's
-  configuration records and re-executes the operation stream;
+  configuration record and re-executes the operation stream through
+  :func:`~repro.durability.journal.apply_record`, as recovery does;
   deterministic engines reproduce the original matches bit-identically
   on their identities (``python -m repro replay``),
 * **VERIFY** — :func:`verify_run` replays *and* compares each emitted
@@ -29,20 +31,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+from repro.durability.journal import (
+    Journal,
+    apply_record,
+    attach_from_record,
+    emits,
+    hub_config,
+    meta_config,
+    open_hub,
+)
 from repro.durability.middleware import DurabilityMiddleware
 from repro.durability.wal import WalWriter, read_wal
-from repro.events.wire import match_to_wire, pack_event, unpack_event
 from repro.hub.core import StreamHub
-from repro.patterns.parser import parse_query
 
-__all__ = ["RunMode", "RunLog", "ReplayError", "VerifyReport",
+__all__ = ["RunLog", "ReplayError", "VerifyReport",
            "recording_hub", "replay_run", "verify_run", "load_run"]
-
-
-class RunMode:
-    LIVE = "live"
-    REPLAY = "replay"
-    VERIFY = "verify"
 
 
 class ReplayError(RuntimeError):
@@ -50,82 +53,31 @@ class ReplayError(RuntimeError):
     an attachment without replayable query source text)."""
 
 
-def _normalize(wire: dict) -> dict:
-    """One JSON round-trip so LIVE-recorded and freshly-replayed match
-    wires compare field-by-field (tuples become lists etc.)."""
-    return json.loads(json.dumps(wire, separators=(",", ":"),
-                                 default=str))
+def _emit_streams(records: Iterable[dict]) -> dict:
+    """``{name: [(cursor, match_wire)]}`` of a record list.  The wires
+    take one JSON round-trip so LIVE-recorded and freshly-replayed ones
+    compare field-by-field (tuples become lists etc.)."""
+    streams: dict[str, list[tuple[int, dict]]] = {}
+    for name, cursor, wire in emits(records):
+        streams.setdefault(name, []).append(
+            (cursor, json.loads(json.dumps(wire, separators=(",", ":"),
+                                           default=str))))
+    return streams
 
 
-class RunLog:
-    """The LIVE-mode journal: every hub operation becomes one record
-    in the run log, every emitted match gets a per-attachment cursor."""
+class RunLog(Journal):
+    """The LIVE-mode journal: one WAL file nobody checkpoints, whose
+    first record is the hub configuration."""
 
     def __init__(self, path: Path | str, *, config: dict,
                  fsync: str = "never") -> None:
         self.path = Path(path)
-        self._writer = WalWriter(self.path, fsync)
-        self._cursors: dict[str, int] = {}
-        self.events_recorded = 0
-        self.matches_recorded = 0
-        self._writer.append({"t": "meta", "mode": RunMode.LIVE,
-                             "hub": dict(config)})
+        super().__init__(WalWriter(self.path, fsync))
+        self.log_meta(config, mode="live")
 
-    # journal protocol (see repro.durability.middleware)
-
-    def log_push(self, events) -> None:
-        events = list(events)
-        if not events:
-            return
-        self._writer.append(
-            {"t": "push", "events": [pack_event(e) for e in events]})
-        self.events_recorded += len(events)
-
-    def log_flush(self) -> None:
-        self._writer.append({"t": "flush"})
-
-    def log_attach(self, attachment) -> None:
-        query = attachment.query
-        options = dict(attachment.engine_options)
-        try:
-            json.dumps(options)
-        except (TypeError, ValueError):
-            # non-JSON options (engine config objects) tune performance,
-            # not output (the engines' equivalence contract); replay
-            # falls back to the engine's defaults
-            options = {}
-        self._writer.append({
-            "t": "attach", "name": attachment.name,
-            "query": query.text,
-            "params": [[k, v] for k, v in (query.params or ())],
-            "engine": attachment.engine,
-            "options": options,
-            "pos": attachment.hub._position})
-
-    def log_detach(self, attachment, drain: bool = True) -> None:
-        self._writer.append({"t": "detach", "name": attachment.name,
-                             "drain": bool(drain)})
-
-    def log_op_end(self) -> None:
-        # hand the operation's batch (push record + its emits) to the OS
-        self._writer.flush_os()
-
-    def handle_match(self, name: str, match):
-        cursor = self._cursors.get(name, 0) + 1
-        self._cursors[name] = cursor
-        self._writer.append({"t": "emit", "a": name, "c": cursor,
-                             "m": match_to_wire(match)})
-        self.matches_recorded += 1
-        return match
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self) -> "RunLog":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    @property
+    def matches_recorded(self) -> int:
+        return sum(self._cursors.values())
 
 
 def recording_hub(path: Path | str, *, slack: float = 0.0,
@@ -137,55 +89,29 @@ def recording_hub(path: Path | str, *, slack: float = 0.0,
     outside the recorder, so the log captures its effects (what was
     shed never reaches the log, exactly as it never reached the
     engines)."""
-    config = {"slack": slack, "late_policy": late_policy, "share": share,
-              "queue_size": queue_size, "overflow": overflow}
+    config = hub_config(slack=slack, late_policy=late_policy, share=share,
+                        queue_size=queue_size, overflow=overflow)
     log = RunLog(path, config=config)
-    hub = StreamHub(slack=slack, late_policy=late_policy, share=share,
-                    queue_size=queue_size, overflow=overflow,
-                    middleware=[*middleware, DurabilityMiddleware(log)])
-    return hub, log
+    return open_hub(config, [*middleware, DurabilityMiddleware(log)]), log
 
 
-class _Collector:
-    """REPLAY-mode journal: assigns cursors exactly like LIVE mode but
-    accumulates emits in memory instead of appending to a log."""
+class _Collector(list):
+    """REPLAY mode's writer: the journal's records, kept in memory."""
 
-    def __init__(self) -> None:
-        self.emits: dict[str, list[tuple[int, dict]]] = {}
-        self._cursors: dict[str, int] = {}
-
-    def log_push(self, events) -> None:
+    def flush_os(self) -> None:
         pass
 
-    def log_flush(self) -> None:
-        pass
-
-    def log_op_end(self) -> None:
-        pass
-
-    def log_attach(self, attachment) -> None:
-        pass
-
-    def log_detach(self, attachment, drain: bool = True) -> None:
-        pass
-
-    def handle_match(self, name: str, match):
-        cursor = self._cursors.get(name, 0) + 1
-        self._cursors[name] = cursor
-        self.emits.setdefault(name, []).append(
-            (cursor, _normalize(match_to_wire(match))))
-        return match
+    close = flush_os
 
 
 def load_run(path: Path | str) -> tuple[dict, list[dict]]:
     """``(hub_config, records)`` of a run log; tolerates a torn tail
     (the clean prefix is still a valid, shorter run)."""
-    result = read_wal(path)
-    records = result.records
-    if not records or records[0].get("t") != "meta" \
-            or "hub" not in records[0]:
+    records = read_wal(path).records
+    config = meta_config(records)
+    if config is None:
         raise ReplayError(f"{path} is not a run log (no meta record)")
-    return dict(records[0]["hub"]), records[1:]
+    return config, records[1:]
 
 
 def replay_run(path: Path | str, *,
@@ -197,41 +123,20 @@ def replay_run(path: Path | str, *,
     config, records = load_run(path)
     if share is not None:
         config = dict(config, share=share)
-    collector = _Collector()
-    hub = StreamHub(slack=float(config.get("slack", 0.0)),
-                    late_policy=config.get("late_policy", "drop"),
-                    share=config.get("share"),
-                    queue_size=int(config.get("queue_size", 1024)),
-                    overflow=config.get("overflow", "raise"),
-                    middleware=[DurabilityMiddleware(collector)])
+    replayed = _Collector()
+    hub = open_hub(config, [DurabilityMiddleware(Journal(replayed))])
+
+    def attach(record: dict) -> None:
+        if not record.get("query"):
+            raise ReplayError(
+                f"attachment {record.get('name')!r} was recorded "
+                f"without query source text; only parsed "
+                f"MATCH-RECOGNIZE attachments replay")
+        attach_from_record(hub, record)
+
     for record in records:
-        rtype = record.get("t")
-        if rtype == "push":
-            hub.push_many([unpack_event(obj)
-                           for obj in record.get("events", [])])
-        elif rtype == "attach":
-            if not record.get("query"):
-                raise ReplayError(
-                    f"attachment {record.get('name')!r} was recorded "
-                    f"without query source text; only parsed "
-                    f"MATCH-RECOGNIZE attachments replay")
-            params = dict(tuple(p) for p in record.get("params", []))
-            query = parse_query(record["query"], name=record["name"],
-                                params=params)
-            hub.attach(query, engine=record.get("engine", "sequential"),
-                       name=record["name"], overflow="drop_oldest",
-                       **(record.get("options") or {}))
-        elif rtype == "detach":
-            for attachment in list(hub._attachments):
-                if attachment.name == record.get("name"):
-                    attachment.detach(
-                        drain=bool(record.get("drain", True)))
-                    break
-        elif rtype == "flush":
-            if not hub._flushed:
-                hub.flush()
-        # "emit"/"meta" records replay as no-ops: emits are *outputs*
-    return collector.emits
+        apply_record(hub, record, attach)
+    return _emit_streams(replayed)
 
 
 @dataclass
@@ -258,13 +163,7 @@ def verify_run(path: Path | str) -> VerifyReport:
     """Replay a run log and compare every emitted match — identity
     (constituent seqs/types), window, and derived attributes — against
     the recorded emit stream, in cursor order per attachment."""
-    _config, records = load_run(path)
-    recorded: dict[str, list[tuple[int, dict]]] = {}
-    for record in records:
-        if record.get("t") == "emit":
-            recorded.setdefault(record.get("a"), []).append(
-                (int(record.get("c", 0)),
-                 _normalize(record.get("m") or {})))
+    recorded = _emit_streams(load_run(path)[1])
     replayed = replay_run(path)
     report = VerifyReport(
         attachments=len(set(recorded) | set(replayed)),

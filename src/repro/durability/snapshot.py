@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.durability.journal import attach_record, hub_config
 from repro.durability.wal import json_float, json_safe_float
 from repro.events.wire import event_from_wire, event_to_wire
 from repro.hub.core import Attachment, StreamHub
@@ -44,7 +45,7 @@ from repro.hub.core import Attachment, StreamHub
 SNAPSHOT_FORMAT = 1
 
 __all__ = ["SNAPSHOT_FORMAT", "compute_cut", "build_snapshot",
-           "hub_config", "sorter_state", "suffix_events"]
+           "sorter_state", "suffix_events"]
 
 
 def compute_cut(hub: StreamHub) -> int:
@@ -66,15 +67,6 @@ def compute_cut(hub: StreamHub) -> int:
     return max(min(cut, position), floor)
 
 
-def _jsonable(value) -> bool:
-    import json
-    try:
-        json.dumps(value)
-        return True
-    except (TypeError, ValueError):
-        return False
-
-
 def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
                    emitted: dict, cursors: dict, attach_meta: dict,
                    extra: Optional[dict] = None) -> dict:
@@ -92,8 +84,6 @@ def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
     attachments = []
     for attachment in hub._attachments:
         meta = attach_meta.get(attachment.name, {})
-        query = attachment.query
-        options = attachment.engine_options
         consumed = attachment.session.consumed_seqs()
         name = attachment.name
         counter = emitted.get(name, {})
@@ -104,11 +94,7 @@ def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
         else:
             admit_floor = meta.get("pos", attachment._admit_floor)
         attachments.append({
-            "name": name,
-            "query": query.text,
-            "params": [[k, v] for k, v in (query.params or ())],
-            "engine": attachment.engine,
-            "options": dict(options) if _jsonable(options) else None,
+            **attach_record(attachment),
             "durable": bool(meta.get("durable", True)),
             "state": attachment.state,
             "admission_position": attachment.admission_position,
@@ -123,13 +109,10 @@ def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
     return {
         "format": SNAPSHOT_FORMAT,
         "segment": segment,
-        "hub": {
-            "slack": hub._sorter.slack,
-            "late_policy": hub._sorter.late_policy,
-            "share": hub._share,
-            "queue_size": hub.queue_size,
-            "overflow": hub.overflow,
-        },
+        "hub": hub_config(
+            slack=hub._sorter.slack, late_policy=hub._sorter.late_policy,
+            share=hub._share, queue_size=hub.queue_size,
+            overflow=hub.overflow),
         "events_pushed": hub.events_pushed,
         "position": hub._position,
         "flushed": hub._flushed,
@@ -146,18 +129,6 @@ def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
         },
         "attachments": attachments,
         "extra": extra or {},
-    }
-
-
-def hub_config(body: dict) -> dict:
-    """StreamHub constructor kwargs stored in a snapshot body."""
-    cfg = body.get("hub", {})
-    return {
-        "slack": float(cfg.get("slack", 0.0)),
-        "late_policy": cfg.get("late_policy", "drop"),
-        "share": cfg.get("share"),
-        "queue_size": int(cfg.get("queue_size", 1024)),
-        "overflow": cfg.get("overflow", "raise"),
     }
 
 

@@ -18,9 +18,12 @@ the two properties recovery needs:
   record *before* the events fan out, so an ``emit`` record can never
   survive a crash that lost the ``push`` that caused it.
 
-Record types (the ``"t"`` field)::
+Record types (the ``"t"`` field; this module only frames payloads —
+:mod:`repro.durability.journal` is the only code that reads or writes
+that field)::
 
     meta    {"segment": n, "hub": {...}}       first record per segment
+            (a run log's carries ``"mode": "live"`` instead)
     attach  {"name", "query", "params", "engine", "options",
              "durable", "pos"}
     detach  {"name", "drain"}

@@ -17,12 +17,21 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import SpectreConfig
 from repro.datasets import generate_nyse
+from repro.datasets.nyse import leading_symbols
 from repro.durability import DurableHub
-from repro.durability.wal import read_snapshot, snapshot_path
+from repro.durability.wal import (
+    WalWriter,
+    read_snapshot,
+    segment_path,
+    snapshot_path,
+)
 from repro.events.event import Event
+from repro.events.wire import pack_event
 from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
+from repro.queries.fig9 import q1_text
 from repro.streaming import Session
 from repro.windows import Splitter
 
@@ -384,3 +393,81 @@ def test_recovery_replays_each_logged_push_as_one_batch(tmp_path,
         assert split[id(engine_session._splitter)] == records
         assert engine_session.events_pushed == records * size
     second.manager.close(checkpoint=False)
+
+
+# -- tail attach records: none may vanish -----------------------------------
+
+
+def test_non_json_engine_option_survives_tail_recovery(tmp_path):
+    """A durable attachment whose engine option is not JSON (a config
+    object) comes back from a *tail* record on the engine's defaults,
+    exactly as it does from a snapshot — it used to be lost without a
+    trace when the crash came before the first checkpoint."""
+    text = q1_text(8, 200, leading_symbols(16))
+    events = generate_nyse(600, n_symbols=40, n_leading=16, seed=5)
+    crash_at = 300
+
+    reference: list = []
+    plain = StreamHub()
+    plain.attach(parse_query(text, name="q1"), engine="spectre", name="q1",
+                 sink=lambda ce: reference.append(ce.identity()),
+                 config=SpectreConfig(k=2))
+    plain.push_many(events)
+    plain.close()
+    assert reference
+
+    delivered: list = []
+    first = DurableHub(tmp_path, checkpoint_every=10**9)
+    first.attach(text, engine="spectre", name="q1",
+                 sink=lambda ce: delivered.append(ce.identity()),
+                 config=SpectreConfig(k=2))
+    first.push_many(events[:crash_at])
+    first.hub.abort()
+    first.manager.close(checkpoint=False)
+
+    second = DurableHub(
+        tmp_path, checkpoint_every=10**9, sink_provider=lambda record:
+        lambda ce: delivered.append(ce.identity()))
+    report = second.recovery_report
+    assert report.snapshot_segment is None      # tail-only recovery
+    assert report.restored_attachments == ["q1"]
+    assert report.skipped_attachments == []
+    assert [a.name for a in second.attachments] == ["q1"]
+    second.push_many(events[crash_at:])
+    second.close()
+    assert delivered == reference
+    assert second.cursor("q1") == len(reference)
+
+
+def test_unrestorable_tail_attach_is_listed_as_skipped(tmp_path):
+    """A hand-written tail: a good attach, one whose query text does
+    not parse, one whose engine refuses its option, another good one.
+    Recovery proceeds past the bad ones and names them."""
+    def attach(name, **fields):
+        return {"t": "attach", "name": name, "query": BAND_TEXT,
+                "params": [[k, v] for k, v in PARAMS.items()],
+                "engine": "sequential", "options": {}, "durable": True,
+                "pos": 0, **fields}
+
+    writer = WalWriter(segment_path(tmp_path, 1), "never")
+    for record in (
+            {"t": "meta", "segment": 1, "hub": {}},
+            attach("good1"),
+            attach("garbled", query="PATTERN (A B WITHIN nonsense"),
+            attach("refused", engine="spectre", options={"k": 0}),
+            attach("good2"),
+            {"t": "push", "events": [pack_event(e) for e in EVENTS[:200]]}):
+        writer.append(record)
+    writer.close()
+
+    hub = DurableHub(tmp_path, checkpoint_every=10**9)
+    report = hub.recovery_report
+    assert report.restored_attachments == ["good1", "good2"]
+    assert report.skipped_attachments == ["garbled", "refused"]
+    assert [a.name for a in hub.attachments] == ["good1", "good2"]
+    assert report.replayed_events == 200
+    reference = reference_matches([("good1", band_query("good1"))])
+    hub.push_many(EVENTS[200:])
+    hub.close()
+    assert hub.cursor("good1") == hub.cursor("good2") == \
+        len(reference["good1"])

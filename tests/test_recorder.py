@@ -6,18 +6,25 @@ injected divergence; the CLI must surface that as its exit code."""
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.datasets import generate_nyse, save_events_csv
 from repro.durability import (
+    DurableHub,
     ReplayError,
     recording_hub,
     replay_run,
     verify_run,
 )
-from repro.durability.wal import WalWriter, read_wal
+from repro.durability.journal import apply_record
+from repro.durability.wal import WalWriter, iter_records, read_wal
+from repro.events.wire import pack_event
+from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
 
 BAND_TEXT = """PATTERN (A B)
@@ -200,3 +207,130 @@ def test_run_log_meta_is_first_record(tmp_path):
     first = read_wal(path).records[0]
     assert first["t"] == "meta" and first["mode"] == "live"
     assert json.dumps(first["hub"])  # hub config is JSON-able
+
+
+# -- a WAL segment is a run log ---------------------------------------------
+
+CONSUME_TEXT = BAND_TEXT + "\nCONSUME (A B)"
+NAMES = ("a", "b", "c")
+
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("attach"), st.sampled_from(NAMES),
+              st.sampled_from((BAND_TEXT, WIDE_TEXT, CONSUME_TEXT)),
+              st.sampled_from(("sequential", "spectre"))),
+    st.tuples(st.just("push"), st.integers(1, 120)),
+    st.tuples(st.just("push"), st.integers(1, 120)),  # twice as likely
+    st.tuples(st.just("detach"), st.sampled_from(NAMES), st.booleans()),
+), min_size=2, max_size=12)
+
+
+def drive(hub, operations, flush):
+    """Run one drawn operation sequence against a hub face; returns
+    the live emit streams ``{name: [seqs]}``."""
+    live: dict[str, list] = {}
+    position = 0
+    for op in operations:
+        attached = {a.name: a for a in hub.attachments}
+        if op[0] == "attach" and op[1] not in attached:
+            _op, name, text, engine = op
+            hub.attach(parse_query(text, name=name, params=PARAMS),
+                       engine=engine, name=name,
+                       sink=lambda ce, _n=name: live.setdefault(
+                           _n, []).append(list(ce.constituent_seqs)))
+        elif op[0] == "push":
+            hub.push_many(EVENTS[position:position + op[1]])
+            position += op[1]
+        elif op[0] == "detach" and op[1] in attached:
+            attached[op[1]].detach(drain=op[2])
+    if flush:
+        hub.flush()
+    return live
+
+
+def comparable(records):
+    """A record list modulo what tells a WAL segment from a run log:
+    the ``meta`` extras and the ``durable`` flag."""
+    return [{"t": "meta", "hub": r["hub"]} if r["t"] == "meta" else
+            {k: v for k, v in r.items() if k != "durable"}
+            for r in records]
+
+
+def streams(records):
+    out: dict[str, list] = {}
+    for record in records:
+        if record["t"] == "emit":
+            out.setdefault(record["a"], []).append(
+                (record["c"], list(record["m"]["seqs"])))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(operations=OPERATIONS, share=st.booleans(), flush=st.booleans())
+def test_wal_segment_is_a_run_log(operations, share, flush):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        hub, log = recording_hub(scratch / "run.wal", share=share)
+        live = drive(hub, operations, flush)
+        hub.abort()
+        log.close()
+
+        durable = DurableHub(scratch / "wal", checkpoint_every=10**9,
+                             share=share)
+        assert drive(durable, operations, flush) == live
+        durable.hub.abort()
+        durable.manager.close(checkpoint=False)
+        segment = scratch / "wal" / "wal-00000001.log"
+
+        # one grammar, one writer
+        recorded = read_wal(scratch / "run.wal").records
+        assert comparable(read_wal(segment).records) == \
+            comparable(recorded)
+
+        # one interpreter: either file replays to the live streams
+        replayed = replay_run(segment)
+        assert replayed == replay_run(scratch / "run.wal")
+        assert {name: [wire["seqs"] for _c, wire in stream]
+                for name, stream in replayed.items()} == live
+        assert verify_run(segment).ok
+
+        # ... and recovery is the same interpretation: strip the emit
+        # records so a recovery has to regenerate (and log) them all
+        stripped = scratch / "stripped"
+        stripped.mkdir()
+        writer = WalWriter(stripped / segment.name, "never")
+        for record in read_wal(segment).records:
+            if record["t"] != "emit":
+                writer.append(record)
+        writer.close()
+        recovered = DurableHub(stripped, checkpoint_every=10**9)
+        assert recovered.recovery_report.skipped_attachments == []
+        recovered.hub.abort()
+        recovered.manager.close(checkpoint=False)
+        assert streams(r for _i, r in iter_records(stripped)) == {
+            name: [(cursor, wire["seqs"]) for cursor, wire in stream]
+            for name, stream in replayed.items()}
+
+
+def test_apply_record_reingests_push_and_ignores_outputs():
+    hub = StreamHub()
+    attached: list = []
+    batch = EVENTS[:5]
+    for record in (
+            {"t": "meta", "mode": "live", "hub": {}},
+            {"t": "emit", "a": "band", "c": 1,
+             "m": {"query": "band", "window": 0, "seqs": [1, 2],
+                   "etypes": ["quote", "quote"], "attributes": {}}}):
+        assert apply_record(hub, record, attached.append) == []
+    assert hub.events_pushed == 0 and not attached
+
+    push = {"t": "push", "events": [pack_event(e) for e in batch]}
+    assert [e.seq for e in apply_record(hub, push, attached.append)] \
+        == [e.seq for e in batch]
+    assert hub.events_pushed == 5
+
+    for record in ({"t": "attach", "name": "band"},
+                   {"t": "detach", "name": "nobody", "drain": True},
+                   {"t": "flush"}):
+        assert apply_record(hub, record, attached.append) == []
+    assert attached == [{"t": "attach", "name": "band"}]
+    assert hub._flushed

@@ -19,7 +19,7 @@ import json
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.events.event import Event
-from repro.events.wire import unpack_event
+from repro.events.wire import events_from_wire
 from repro.hub.core import Attachment, StreamHub
 from repro.patterns.parser import parse_query
 
@@ -105,7 +105,7 @@ def apply_record(hub: StreamHub, record: dict,
     and ``meta`` records are outputs and framing: no-ops."""
     rtype = record.get("t")
     if rtype == "push":
-        events = [unpack_event(obj) for obj in record.get("events", [])]
+        events, _ = events_from_wire(record.get("events", []), packed=True)
         hub.ingest_replay(events)
         return events
     if rtype == "attach":

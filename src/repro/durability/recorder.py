@@ -26,7 +26,6 @@ cursor.  The three modes:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -42,6 +41,7 @@ from repro.durability.journal import (
 )
 from repro.durability.middleware import DurabilityMiddleware
 from repro.durability.wal import WalWriter, read_wal
+from repro.events.wire import dumps, loads
 from repro.hub.core import StreamHub
 
 __all__ = ["RunLog", "ReplayError", "VerifyReport",
@@ -60,8 +60,7 @@ def _emit_streams(records: Iterable[dict]) -> dict:
     streams: dict[str, list[tuple[int, dict]]] = {}
     for name, cursor, wire in emits(records):
         streams.setdefault(name, []).append(
-            (cursor, json.loads(json.dumps(wire, separators=(",", ":"),
-                                           default=str))))
+            (cursor, loads(dumps(wire))))
     return streams
 
 

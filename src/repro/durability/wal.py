@@ -61,14 +61,11 @@ import os
 import re
 import struct
 import zlib
-
-try:  # hot-path encoder: ~15x faster than stdlib for WAL records
-    import orjson as _fastjson
-except ImportError:  # pragma: no cover - depends on the environment
-    _fastjson = None
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional
+
+from repro.events import wire
 
 __all__ = [
     "WAL_MAGIC",
@@ -100,19 +97,10 @@ class WalError(RuntimeError):
     fsync policy, oversized record)."""
 
 
-def encode_record(record: dict) -> bytes:
-    """Compact-JSON encode one WAL record (orjson when available —
-    both encoders produce interchangeable JSON payloads)."""
-    if _fastjson is not None:
-        return _fastjson.dumps(record, default=str)
-    return json.dumps(record, separators=(",", ":"),
-                      default=str).encode("utf-8")
-
-
-def decode_record(payload: bytes) -> dict:
-    if _fastjson is not None:
-        return _fastjson.loads(payload)
-    return json.loads(payload)
+# one WAL record <-> its payload: the codec the protocol frames use
+# (repro.events.wire — both of its encoders write interchangeable JSON)
+encode_record = wire.dumps
+decode_record = wire.loads
 
 
 def segment_path(directory: Path | str, index: int) -> Path:

@@ -14,6 +14,7 @@ from repro.events.wire import (
     WireError,
     event_from_wire,
     event_to_wire,
+    events_from_wire,
     match_from_wire,
     match_to_wire,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "WireError",
     "event_to_wire",
     "event_from_wire",
+    "events_from_wire",
     "match_to_wire",
     "match_from_wire",
 ]

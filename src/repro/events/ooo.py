@@ -76,22 +76,49 @@ class SlackSorter:
 
     def push(self, event: Event) -> list[Event]:
         """Offer one event; returns the events released by its arrival."""
-        if event.order_key <= self._released_key:
-            self.late_events += 1
-            if self.late_policy == "raise":
-                raise LateEventError(
-                    f"{event!r} arrived at or behind the release horizon "
-                    f"{self._released_key}")
-            return []
-        heapq.heappush(self._heap, (event.order_key, event))
-        self._max_seen = max(self._max_seen, event.timestamp)
-        horizon = self._max_seen - self.slack
+        return self.push_many((event,))
+
+    def push_many(self, events: Iterable[Event]) -> list[Event]:
+        """Offer a chunk in arrival order; returns everything its
+        arrivals released, in release order — what one :meth:`push` per
+        event would have returned, concatenated.  With
+        ``late_policy="raise"`` the events before the offender have
+        taken effect when :class:`LateEventError` propagates."""
+        heap = self._heap
+        slack = self.slack
+        max_seen = self._max_seen
+        released_key = self._released_key
         released: list[Event] = []
-        while self._heap and self._heap[0][1].timestamp <= horizon:
-            released.append(heapq.heappop(self._heap)[1])
-        if released:
-            self._released_key = max(self._released_key,
-                                     released[-1].order_key)
+        try:
+            for event in events:
+                timestamp = event.timestamp
+                key = (timestamp, event.seq)
+                if key <= released_key:
+                    self.late_events += 1
+                    if self.late_policy == "raise":
+                        raise LateEventError(
+                            f"{event!r} arrived at or behind the release "
+                            f"horizon {released_key}")
+                    continue
+                if timestamp > max_seen:
+                    max_seen = timestamp
+                horizon = max_seen - slack
+                if not heap and timestamp <= horizon:
+                    # already final and nothing held back: the arrival
+                    # is its own release (always the case in order at
+                    # slack 0) — no heap round-trip
+                    released.append(event)
+                    released_key = key
+                    continue
+                heapq.heappush(heap, (key, event))
+                while heap and heap[0][0][0] <= horizon:
+                    key, event = heapq.heappop(heap)
+                    released.append(event)
+                    if key > released_key:
+                        released_key = key
+        finally:
+            self._max_seen = max_seen
+            self._released_key = released_key
         return released
 
     def flush(self) -> list[Event]:

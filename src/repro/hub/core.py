@@ -737,12 +737,10 @@ class StreamHub:
     def _ingest(self, events: Iterable[Event]) -> int:
         """One pass through the shared sorter, then the fan-out of
         whatever the batch released."""
-        released: list[Event] = []
-        count = 0
-        for event in events:
-            released.extend(self._sorter.push(event))
-            count += 1
-        self.events_pushed += count
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        released = self._sorter.push_many(events)
+        self.events_pushed += len(events)
         return self._deliver_chunk(released)
 
     def _deliver_chunk(self, released: list[Event]) -> int:

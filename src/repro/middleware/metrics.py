@@ -17,7 +17,8 @@ exposition format, ready for a ``/metrics`` endpoint::
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from collections.abc import Mapping
+from typing import Optional
 
 from repro.middleware.base import Middleware, MiddlewareContext
 

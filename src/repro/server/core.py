@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.durability.manager import DurabilityManager
+from repro.events.wire import WireError, events_from_wire
 from repro.hub.aio import AsyncAttachment, AsyncStreamHub
 from repro.hub.core import HubClosedError
 from repro.middleware.base import (
@@ -64,7 +65,6 @@ from repro.server.protocol import (
     decode_frame,
     encode_frame,
     error_frame,
-    event_from_wire,
     goodbye_frame,
     match_frame,
     ping_frame,
@@ -663,12 +663,14 @@ class ServerCore:
             matches_flushed=len(matches)))
 
     def _decode_events(self, objs: list) -> list:
-        events = []
-        for obj in objs:
-            event = event_from_wire(obj, default_seq=self._next_seq)
-            if event.seq >= self._next_seq:
-                self._next_seq = event.seq + 1
-            events.append(event)
+        """A pushed chunk → events, auto-numbering from ``_next_seq``
+        (which keeps what the chunk consumed even when a later element
+        is refused)."""
+        try:
+            events, self._next_seq = events_from_wire(objs, self._next_seq)
+        except WireError as error:
+            self._next_seq = error.next_seq
+            raise ProtocolError("protocol", str(error)) from None
         return events
 
     async def _ingest_terminal(self, ctx: MiddlewareContext) -> int:
@@ -883,7 +885,8 @@ class Connection:
     Subclasses (:class:`~repro.server.tcp.TCPConnection`,
     :class:`~repro.server.ws.WSConnection`) implement raw-message I/O:
     ``recv() -> bytes | None`` (one message, ``None`` on EOF/close),
-    ``send_encoded(bytes)`` and ``close_transport()``.  ``run()`` owns
+    ``send_encoded(payloads)`` (encoded frames → one write, one drain)
+    and ``close_transport()``.  ``run()`` owns
     the session lifecycle: accept/reject, the sender task, the read →
     decode → dispatch loop, and teardown through
     :meth:`ServerCore.disconnect`.
@@ -899,7 +902,8 @@ class Connection:
     async def recv(self) -> Optional[bytes]:  # pragma: no cover
         raise NotImplementedError
 
-    async def send_encoded(self, payload: bytes) -> None:  # pragma: no cover
+    async def send_encoded(self, payloads: list[bytes]
+                           ) -> None:  # pragma: no cover
         raise NotImplementedError
 
     async def close_transport(self) -> None:  # pragma: no cover
@@ -911,8 +915,8 @@ class Connection:
             session = core.connect(self.peer, self.transport)
         except ServerBusy as busy:
             try:
-                await self.send_encoded(encode_frame(
-                    error_frame(busy.code, str(busy))))
+                await self.send_encoded([encode_frame(
+                    error_frame(busy.code, str(busy)))])
             except (ConnectionError, OSError):
                 pass
             await self.close_transport()
@@ -965,18 +969,31 @@ class Connection:
 
     async def _sender(self, session: ClientSession) -> None:
         """Single writer per connection: serializes every frame the
-        handlers and pumps queue.  After a send failure it keeps
-        consuming (dropping) so producers are never left suspended on
-        the outbox."""
-        broken = False
-        while True:
-            frame = await session.outbox.get()
-            if frame is _CLOSE:
-                return
-            if broken:
-                continue
-            try:
-                await self.send_encoded(encode_frame(frame))
-                self.core._counter_frames_out.inc()
-            except (ConnectionError, OSError):
-                broken = True
+        handlers and pumps queue, in queue order.  Each wake-up drains
+        what the outbox already holds (up to ``max_frame`` bytes) into
+        one transport write.  After a send failure it keeps consuming
+        (dropping) so producers are never left suspended on the
+        outbox."""
+        outbox = session.outbox
+        limit = self.core.config.max_frame
+        broken = closing = False
+        while not closing:
+            frame = await outbox.get()
+            payloads: list[bytes] = []
+            size = 0
+            while True:
+                if frame is _CLOSE:
+                    closing = True  # what precedes it is still written
+                    break
+                if not broken:
+                    payloads.append(encode_frame(frame))
+                    size += len(payloads[-1])
+                if size >= limit or outbox.empty():
+                    break
+                frame = outbox.get_nowait()
+            if payloads:
+                try:
+                    await self.send_encoded(payloads)
+                    self.core._counter_frames_out.inc(len(payloads))
+                except (ConnectionError, OSError):
+                    broken = True

@@ -64,13 +64,22 @@ The codec is *typed*: :func:`validate_request` checks every field
 against the :data:`REQUEST_FIELDS` table before a frame reaches the
 core, and :func:`decode_frame` enforces the per-message size limit, so
 transport handlers never see malformed payloads.
+
+The JSON itself is :func:`repro.events.wire.dumps` / ``loads`` — the one
+codec the WAL uses too (orjson when installed, the standard library
+otherwise and wherever orjson is stricter; see that module).  A pushed
+frame may therefore carry ``NaN``/``Infinity`` literals under either
+codec, while a non-finite float in an *outgoing* frame (a derived match
+attribute) is written as ``null`` on the orjson path, exactly as the
+WAL's ``emit`` record of the same match already stores it, and as
+``NaN``/``Infinity`` on the stdlib path.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping, Optional
 
+from repro.events import wire
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
 from repro.events.wire import (
@@ -79,7 +88,6 @@ from repro.events.wire import (
     match_from_wire,
     match_to_wire,
 )
-from repro.events.wire import event_from_wire as _event_from_wire
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -136,8 +144,7 @@ def encode_frame(frame: Mapping[str, Any]) -> bytes:
     tuples of seqs) degrade to their ``str()`` — the wire never fails
     on exotic payloads, it stringifies them.
     """
-    return (json.dumps(frame, separators=(",", ":"), default=str)
-            + "\n").encode("utf-8")
+    return wire.dumps(frame) + b"\n"
 
 
 def decode_frame(data: bytes | str,
@@ -148,7 +155,7 @@ def decode_frame(data: bytes | str,
             "too_large", f"frame of {len(data)} bytes exceeds the "
                          f"{max_bytes}-byte limit")
     try:
-        frame = json.loads(data)
+        frame = wire.loads(data)
     except (ValueError, UnicodeDecodeError) as error:
         raise ProtocolError("protocol",
                             f"frame is not valid JSON: {error}") from None
@@ -230,7 +237,7 @@ def event_from_wire(obj: Mapping[str, Any],
     ``float(seq)`` mirroring :func:`repro.events.event.make_event`.
     """
     try:
-        return _event_from_wire(obj, default_seq)
+        return wire.event_from_wire(obj, default_seq)
     except WireError as error:
         raise ProtocolError("protocol", str(error)) from None
 

@@ -51,8 +51,8 @@ class TCPConnection(Connection):
                 return line
             # tolerate keep-alive blank lines
 
-    async def send_encoded(self, payload: bytes) -> None:
-        self.writer.write(payload)
+    async def send_encoded(self, payloads: list[bytes]) -> None:
+        self.writer.write(b"".join(payloads))
         await self.writer.drain()
 
     async def close_transport(self) -> None:

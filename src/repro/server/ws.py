@@ -246,9 +246,12 @@ class WSConnection(Connection):
                                      self.core.config.max_frame,
                                      require_mask=True)
 
-    async def send_encoded(self, payload: bytes) -> None:
-        # payload is an NDJSON line; the text frame carries it sans \n
-        self.writer.write(encode_ws_frame(OP_TEXT, payload.rstrip(b"\n")))
+    async def send_encoded(self, payloads: list[bytes]) -> None:
+        # a payload is an NDJSON line; its own text frame carries it
+        # sans \n
+        self.writer.write(b"".join(
+            encode_ws_frame(OP_TEXT, payload.rstrip(b"\n"))
+            for payload in payloads))
         await self.writer.drain()
 
     async def close_transport(self) -> None:

@@ -176,10 +176,7 @@ class PipelineSession(Session):
         """One sorter pass, then one inner ``push_many`` over whatever
         the batch released."""
         if self.sorter is not None:
-            released: list[Event] = []
-            for event in events:
-                released.extend(self.sorter.push(event))
-            events = released
+            events = self.sorter.push_many(events)
         self._staged.extend(self.inner.push_many(events))
 
     def _finish(self) -> None:

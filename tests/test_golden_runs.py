@@ -183,3 +183,14 @@ def test_golden_crashed_wal_recovers_to_the_uncrashed_run(tmp_path):
     for name, want in reference.items():
         assert after[name] == want[precrash[name]:], name
         assert hub.cursor(name) == len(want)
+
+
+def test_golden_files_hold_under_either_codec(json_codec, tmp_path):
+    """The committed logs verify, re-record and recover on the orjson
+    path and on the standard-library path alike."""
+    for name in sorted(RUN_LOGS):
+        test_golden_run_log_verifies(name)
+        (tmp_path / name).mkdir()
+        test_rerecording_yields_the_golden_records(tmp_path / name, name)
+    test_crashed_wal_is_a_run_log_until_its_checkpoint()
+    test_golden_crashed_wal_recovers_to_the_uncrashed_run(tmp_path)

@@ -1,9 +1,16 @@
 """Tests for out-of-order handling (slack buffer)."""
 
-import pytest
+import heapq
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.durability import DurableHub
 from repro.events import make_event, validate_order
 from repro.events.ooo import LateEventError, SlackSorter
+from repro.hub import StreamHub
 
 
 def ev(seq, ts):
@@ -105,3 +112,186 @@ class TestSlackSorter:
         expected = pipeline(make_qe("selected-b")).engine("sequential") \
             .run(ordered)
         assert result.identities() == expected.identities()
+
+
+# -- push_many: any chunking == one push per event --------------------------
+
+class ReferenceSorter(SlackSorter):
+    """``push`` as it was before ``push_many`` became the one body: a
+    heap round-trip per event.  The reference the batch body must
+    equal."""
+
+    def push(self, event):
+        if event.order_key <= self._released_key:
+            self.late_events += 1
+            if self.late_policy == "raise":
+                raise LateEventError(
+                    f"{event!r} arrived at or behind the release horizon "
+                    f"{self._released_key}")
+            return []
+        heapq.heappush(self._heap, (event.order_key, event))
+        self._max_seen = max(self._max_seen, event.timestamp)
+        horizon = self._max_seen - self.slack
+        released = []
+        while self._heap and self._heap[0][1].timestamp <= horizon:
+            released.append(heapq.heappop(self._heap)[1])
+        if released:
+            self._released_key = max(self._released_key,
+                                     released[-1].order_key)
+        return released
+
+
+@st.composite
+def feeds_and_cuts(draw):
+    """A nearly ordered feed — few distinct timestamps, so equal
+    timestamps meet out-of-order seqs, and displaced arrivals, some
+    further back than any slack below — and a chunking of it."""
+    n = draw(st.integers(0, 40))
+    stamps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    events = [make_event(seq, "A", timestamp=float(ts))
+              for seq, ts in enumerate(sorted(stamps))]
+    for _ in range(draw(st.integers(0, 6))):
+        if n > 1:
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.integers(0, n - 1))
+            events.insert(j, events.pop(i))
+    cuts = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))))
+    return events, cuts
+
+
+def chunked(events, cuts):
+    bounds = [0, *cuts, len(events)]
+    return [events[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def feed_through(sorter, calls):
+    """Run ``calls`` (thunks returning released events) against
+    ``sorter`` → ``(released, everything else observable)``.  A
+    ``LateEventError`` ends the feed; what the raising call had released
+    is lost with the exception."""
+    released, error = [], None
+    try:
+        for call in calls:
+            released.extend(call())
+    except LateEventError as exc:
+        error = str(exc)
+    state = sorter.state()
+    return ([(e.seq, e.timestamp) for e in released],
+            {"pending": [e.seq for e in state["pending"]],
+             "max_seen": state["max_seen"],
+             "released_key": state["released_key"],
+             "late_events": sorter.late_events,
+             "watermark": sorter.watermark, "error": error})
+
+
+class TestPushManyEqualsPush:
+    @settings(max_examples=300, deadline=None)
+    @given(feeds_and_cuts(), st.sampled_from([0.0, 2.0, 100.0]),
+           st.sampled_from(["drop", "raise"]))
+    def test_any_chunking_equals_one_push_per_event(self, feed, slack,
+                                                    policy):
+        events, cuts = feed
+        reference = ReferenceSorter(slack, policy)
+        want, want_state = feed_through(
+            reference, [lambda e=e: reference.push(e) for e in events])
+
+        for chunks in (chunked(events, cuts), [events],
+                       [[event] for event in events]):
+            sorter = SlackSorter(slack, policy)
+            got, got_state = feed_through(
+                sorter, [lambda c=c: sorter.push_many(c) for c in chunks])
+            assert got_state == want_state
+            if got_state["error"] is None:
+                assert got == want
+            else:   # the raising chunk's own releases went with it
+                assert got == want[:len(got)]
+
+        single = SlackSorter(slack, policy)
+        assert feed_through(
+            single, [lambda e=e: single.push(e) for e in events]) == \
+            (want, want_state)
+
+    def test_in_order_at_slack_zero_never_touches_the_heap(self):
+        sorter = SlackSorter(0.0)
+        events = [ev(i, float(i // 2)) for i in range(10)]
+        assert sorter.push_many(events) == events
+        assert sorter.pending == 0 and sorter.watermark == 4.0
+        tie = ev(10, 4.0)               # ties the horizon, higher seq
+        assert sorter.push(tie) == [tie] and sorter.pending == 0
+
+    def test_push_many_takes_any_iterable(self):
+        sorter = SlackSorter(1.0)
+        released = sorter.push_many(ev(i, float(i)) for i in range(5))
+        assert [e.seq for e in released] == [0, 1, 2, 3]
+        assert [e.seq for e in sorter.flush()] == [4]
+
+
+# -- hub level: push_many == per-event push across a recovery ---------------
+
+AB_TEXT = "PATTERN (A B)\nWITHIN 6 events FROM every 3 events\n"
+
+
+def displaced_feed(n, seed):
+    """Timestamp-ordered feed whose arrival order has some events moved
+    a few positions (inside slack 5) and a few moved far (late)."""
+    rng = random.Random(seed)
+    events = [make_event(i, rng.choice("ABX"), timestamp=float(i))
+              for i in range(n)]
+    arrival = list(events)
+    for _ in range(n // 8):
+        i = rng.randrange(n - 4)
+        arrival.insert(i + rng.randrange(1, 4), arrival.pop(i))
+    for _ in range(3):
+        i = rng.randrange(n // 2)
+        arrival.insert(min(n - 1, i + 30), arrival.pop(i))
+    return arrival
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hub_push_many_equals_push_across_checkpoint_and_restore(
+        tmp_path, seed):
+    feed = displaced_feed(120, seed)
+
+    def run(directory, chunk):
+        matches = []
+
+        def push(hub, events):
+            if chunk == 1:
+                for event in events:
+                    hub.push(event)
+            else:
+                for start in range(0, len(events), chunk):
+                    hub.push_many(events[start:start + chunk])
+
+        hub = DurableHub(directory, slack=5.0, checkpoint_every=10**9)
+        hub.attach(AB_TEXT, engine="sequential", name="ab",
+                   sink=lambda ce: matches.append(ce.identity()))
+        push(hub, feed[:50])
+        hub.checkpoint()
+        push(hub, feed[50:70])          # the WAL tail recovery replays
+        hub.hub.abort()
+        hub.manager.close(checkpoint=False)
+        hub = DurableHub(directory, slack=5.0, checkpoint_every=10**9,
+                         sink_provider=lambda record:
+                         lambda ce: matches.append(ce.identity()))
+        assert hub.recovered
+        push(hub, feed[70:])
+        stats = hub.hub.stats()
+        observed = (stats.late_events, stats.events_pushed,
+                    hub.hub.watermark)
+        hub.close()
+        return matches, observed
+
+    uncrashed = []
+    plain = StreamHub(slack=5.0)
+    plain.attach(AB_TEXT, engine="sequential", name="ab",
+                 sink=lambda ce: uncrashed.append(ce.identity()))
+    plain.push_many(feed)
+    late = plain.stats().late_events
+    plain.close()
+    assert uncrashed and late > 0, "feed must match and run late"
+
+    want = run(tmp_path / "push", 1)
+    assert want == (uncrashed, (late, len(feed), want[1][2]))
+    for chunk in (7, 256):
+        assert run(tmp_path / f"chunk{chunk}", chunk) == want

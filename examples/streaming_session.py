@@ -48,7 +48,7 @@ def demo_simulated_feed() -> None:
         for ce in session.push(event):
             shown += 1
             anchor = ce.constituents[-1].seq
-            retained = session.inner._splitter.stream.retained
+            retained = session.inner.splitter.stream.retained
             print(f"match {shown:>3}  emitted @event {index:>5}  "
                   f"latency {index - anchor:>3} events  "
                   f"buffer {retained:>4} events retained")

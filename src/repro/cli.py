@@ -59,10 +59,12 @@ from repro.datasets import (
     load_events_csv,
     save_events_csv,
 )
+from repro.durability.wal import FSYNC_POLICIES
 from repro.graph import Operator, OperatorGraph
 from repro.patterns.parser import parse_query
 from repro.runtime.scheduler import SCHEDULER_NAMES
 from repro.sequential.engine import SequentialEngine
+from repro.server.core import SLOW_CONSUMER_POLICIES
 from repro.spectre.config import SpectreConfig
 from repro.streaming.builder import ENGINES, build_engine, pipeline
 
@@ -503,7 +505,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sink_provider=lambda record: _make_sink(counts,
                                                     record["name"]))
         hub = dhub.hub
-        if hub._flushed:
+        if hub.is_flushed:
             raise SystemExit(
                 f"--wal {args.wal}: this WAL holds a completed (flushed) "
                 f"run; point --wal at a fresh directory")
@@ -986,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="ingested events between snapshot "
                             "checkpoints (with --wal)")
-    serve.add_argument("--wal-fsync", choices=("always", "batch", "never"),
+    serve.add_argument("--wal-fsync", choices=FSYNC_POLICIES,
                        default="batch",
                        help="WAL fsync policy: always (fsync per "
                             "append), batch (fsync at checkpoints; "
@@ -1006,8 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disconnect clients silent for this long "
                             "(goodbye reason 'idle_timeout'; pongs "
                             "count as traffic)")
-    serve.add_argument("--slow-consumer",
-                       choices=("block", "drop_oldest", "disconnect"),
+    serve.add_argument("--slow-consumer", choices=SLOW_CONSUMER_POLICIES,
                        default="block",
                        help="policy when a client's send queue fills: "
                             "block ingestion (default), shed its oldest "

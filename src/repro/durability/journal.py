@@ -116,7 +116,7 @@ def apply_record(hub: StreamHub, record: dict,
             if attachment.name == name:
                 attachment.detach(drain=bool(record.get("drain", True)))
                 break
-    elif rtype == "flush" and not hub._flushed:
+    elif rtype == "flush" and not hub.is_flushed:
         hub._flush_raw()
     return []
 

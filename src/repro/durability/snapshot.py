@@ -115,7 +115,7 @@ def build_snapshot(hub: StreamHub, *, segment: int, cut: int,
             overflow=hub.overflow),
         "events_pushed": hub.events_pushed,
         "position": hub._position,
-        "flushed": hub._flushed,
+        "flushed": hub.is_flushed,
         "sorter": {
             "pending": [event_to_wire(e) for e in state["pending"]],
             "max_seen": json_safe_float(state["max_seen"]),

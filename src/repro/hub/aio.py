@@ -522,7 +522,7 @@ class AsyncStreamHub:
         if self._hub.is_closed:
             return 0
         # an implicit end-of-stream flush still runs the on_flush chain
-        if self._achain_close is None or self._hub._flushed:
+        if self._achain_close is None or self._hub.is_flushed:
             return await self._close_terminal(None)
         ctx = MiddlewareContext("on_flush", hub=self)
         result = await self._achain_close(ctx)
@@ -552,7 +552,7 @@ class AsyncStreamHub:
             return 0
         delivered = 0
         try:
-            if not self._hub._flushed:
+            if not self._hub.is_flushed:
                 delivered = await self.flush()
         finally:
             for attachment in list(self._attachments):

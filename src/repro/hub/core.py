@@ -324,8 +324,8 @@ class Attachment:
         if not events:
             return 0
         delivered = self._deliver(events)
-        self._routed_expiry = duration + min(
-            self.session.inner._live_window_starts(), default=_INF)
+        start = self.session.earliest_live_start()
+        self._routed_expiry = _INF if start is None else start + duration
         return delivered
 
     def _deliver(self, events: list[Event]) -> int:
@@ -556,6 +556,10 @@ class StreamHub:
         if self._flushed:
             raise HubClosedError(
                 f"cannot {operation}: hub already flushed (end-of-stream)")
+
+    @property
+    def is_flushed(self) -> bool:
+        return self._flushed
 
     @property
     def is_closed(self) -> bool:

@@ -299,9 +299,7 @@ class GroupMember:
         self.attachment = None  # backref set by StreamHub.attach
         self.admission_position: Optional[int] = None
         self.live = True
-        self.result = SequentialResult(
-            complex_events=[], windows=0, groups_created=0,
-            groups_completed=0, events_fed=0, events_skipped_consumed=0)
+        self.result = SequentialResult()
         self._window_seq = 0
         self._pending: list[ComplexEvent] = []
 
@@ -319,9 +317,6 @@ class GroupMember:
     def drain_pending(self) -> list[ComplexEvent]:
         pending, self._pending = self._pending, []
         return pending
-
-    def watermark_value(self, fallback: float) -> float:
-        return self.group.member_watermark(self, fallback)
 
 
 class _MemberRun:
@@ -460,7 +455,7 @@ class SharedGroup:
         self.members: list[GroupMember] = []
         self.origin: Optional[int] = None  # hub position of local pos 0
         self._next: Optional[int] = None   # next hub position to ingest
-        self._splitter: Optional[Splitter] = None
+        self.splitter: Optional[Splitter] = None
         self._types: dict[str, list[int]] = {}
         self._last_processed = -1
         self._last_ts = float("-inf")
@@ -488,7 +483,7 @@ class SharedGroup:
         if self.origin is None:
             self.origin = position
             self._next = position
-            self._splitter = Splitter(self.window_spec)
+            self.splitter = Splitter(self.window_spec)
 
     def remove(self, member: GroupMember) -> None:
         member.live = False
@@ -510,7 +505,7 @@ class SharedGroup:
         if skip > 0:
             events = events[skip:]
         self._memo.clear()
-        splitter = self._splitter
+        splitter = self.splitter
         types = self._types
         first = len(splitter.stream)
         # safe as one batch: closed windows are only processed below,
@@ -532,9 +527,9 @@ class SharedGroup:
             self._collect_garbage()
 
     def _collect_garbage(self) -> None:
-        self._splitter.retire(self._last_processed)
-        self._splitter.trim_to_live()
-        horizon = self._splitter.stream.offset
+        self.splitter.retire(self._last_processed)
+        self.splitter.trim_to_live()
+        horizon = self.splitter.stream.offset
         for etype, positions in self._types.items():
             if positions and positions[0] < horizon:
                 del positions[:bisect_left(positions, horizon)]
@@ -546,16 +541,9 @@ class SharedGroup:
         run its remaining (open/truncated) windows privately — exactly
         what a standalone session's ``flush`` does — then drop it."""
         out = member.drain_pending()
-        if member.live and member.admission_position is not None and \
-                self._splitter is not None:
-            length = len(self._splitter.stream)
-            for window in self._splitter.windows:
-                if window.window_id <= self._last_processed:
-                    continue
-                start_hub = self.origin + window.start_pos
-                if start_hub < member.admission_position:
-                    continue
-                end = window.end_pos
+        if member.live:
+            for window in self._live_windows(member):
+                end, length = window.end_pos, len(self.splitter.stream)
                 end = length if end is None else min(end, length)
                 wid = member._window_seq
                 member._window_seq += 1
@@ -567,17 +555,23 @@ class SharedGroup:
         out.extend(member.drain_pending())
         return out
 
-    def member_watermark(self, member: GroupMember, fallback: float) -> float:
-        if member.admission_position is None or self._splitter is None:
-            return fallback if self._last_ts == float("-inf") \
-                else self._last_ts
-        starts = (
-            window.start_event.timestamp
-            for window in self._splitter.windows
-            if window.window_id > self._last_processed
-            and self.origin + window.start_pos >= member.admission_position
-        )
-        return min(starts, default=self._last_ts)
+    def _live_windows(self, member: GroupMember) -> list[Window]:
+        """Windows not processed yet that ``member`` takes part in (it
+        joined at or before their start), in start order: the session
+        scaffold's cursor rule plus the per-member admission filter."""
+        if member.admission_position is None or self.splitter is None:
+            return []
+        splitter = self.splitter
+        floor = member.admission_position - self.origin
+        return [window for window in
+                splitter.windows[splitter.live_index(self._last_processed):]
+                if window.start_pos >= floor]
+
+    def member_watermark(self, member: GroupMember) -> float:
+        """Start of ``member``'s earliest live window, else the last
+        ingested timestamp."""
+        live = self._live_windows(member)
+        return live[0].start_event.timestamp if live else self._last_ts
 
     # -- window processing -------------------------------------------------
 
@@ -638,7 +632,7 @@ class SharedGroup:
                         types: Optional[frozenset]) -> Iterable[Event]:
         """The window slice, restricted to ``types`` via the group's
         type index (sparse iteration) when a filter is available."""
-        stream = self._splitter.stream
+        stream = self.splitter.stream
         if types is None:
             return stream.slice(start, end)
         slices = [self._positions_between(etype, start, end)
@@ -930,4 +924,4 @@ class MemberSession(Session):
 
     @property
     def watermark(self) -> float:
-        return self.member.watermark_value(self._last_ts)
+        return self.member.group.member_watermark(self.member)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.events.event import Event
-from repro.streaming.session import Session, run_batch
+from repro.streaming.session import Session, WindowedSession, run_batch
 from repro.utils.validation import require
 from repro.windows.splitter import Splitter
 
@@ -59,6 +59,7 @@ if TYPE_CHECKING:  # deferred: repro.spectre may be mid-initialisation
     from repro.spectre.config import SpectreConfig
     from repro.spectre.engine import RunStats, SpectreResult
     from repro.windows.specs import WindowSpec
+    from repro.windows.window import Window
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,23 @@ def merge_run_stats(parts: Iterable["RunStats"]) -> "RunStats":
     return merged
 
 
+def merge_outcomes(outcomes: Sequence[ShardOutcome], input_events: int,
+                   config: "SpectreConfig") -> "SpectreResult":
+    """One :class:`SpectreResult` from per-shard outcomes in shard
+    order (``virtual_time`` is the longest shard's virtual clock — the
+    parallel makespan)."""
+    from repro.spectre.engine import SpectreResult
+    return SpectreResult(
+        complex_events=[ce for outcome in outcomes
+                        for ce in outcome.complex_events],
+        input_events=input_events,
+        virtual_time=max((outcome.virtual_time
+                          for outcome in outcomes), default=0.0),
+        stats=merge_run_stats(outcome.stats for outcome in outcomes),
+        config=config,
+    )
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -248,8 +266,8 @@ class ShardedSpectreEngine:
     # driving
     # ------------------------------------------------------------------
 
-    def open(self, *, eager: bool = True,
-             gc: bool | None = None) -> "ShardedSession":
+    def open(self, *, eager: bool = True, gc: bool | None = None
+             ) -> "ShardedSession | BufferedShardedSession":
         """Open a push-based streaming session (Engine protocol).
 
         Eager sessions detect shard boundaries as windows open, run
@@ -258,7 +276,9 @@ class ShardedSpectreEngine:
         sessions buffer the stream and delegate ``flush`` to the
         (possibly forked) batch path.
         """
-        return ShardedSession(self, eager=eager, gc=gc)
+        if eager:
+            return ShardedSession(self, gc=gc)
+        return BufferedShardedSession(self)
 
     def run(self, events: Iterable[Event],
             **open_options) -> "SpectreResult":
@@ -269,7 +289,6 @@ class ShardedSpectreEngine:
 
     def _run_batch(self, events: Iterable[Event]) -> "SpectreResult":
         """The historical batch path (plan → fork workers → merge)."""
-        from repro.spectre.engine import SpectreResult
         events = list(events)
         started = time.perf_counter()
         self.plan = plan_shards(self.query.window, events)
@@ -286,26 +305,16 @@ class ShardedSpectreEngine:
         finally:
             self._slices = []
         outcomes.sort(key=lambda outcome: outcome.index)
-
-        merged_events: list["ComplexEvent"] = [
-            ce for outcome in outcomes for ce in outcome.complex_events]
+        result = merge_outcomes(outcomes, len(events), self.config)
         # shards cover disjoint window-id ranges in index order, so this
         # stable sort is a deterministic no-op safety net: global window
         # order, per-window detection order preserved
-        merged_events.sort(key=lambda ce: ce.window_id)
-        self.stats = merge_run_stats(outcome.stats for outcome in outcomes)
+        result.complex_events.sort(key=lambda ce: ce.window_id)
+        self.stats = result.stats
         self.consumed_seqs = frozenset().union(
-            *(outcome.consumed_seqs for outcome in outcomes)) \
-            if outcomes else frozenset()
+            *(outcome.consumed_seqs for outcome in outcomes))
         self.wall_seconds = time.perf_counter() - started
-        return SpectreResult(
-            complex_events=merged_events,
-            input_events=len(events),
-            virtual_time=max((outcome.virtual_time
-                              for outcome in outcomes), default=0.0),
-            stats=self.stats,
-            config=self.config,
-        )
+        return result
 
     # ------------------------------------------------------------------
     # per-shard execution (runs in the parent or in a forked worker)
@@ -376,142 +385,127 @@ class ShardedSpectreEngine:
         return outcomes
 
 
-class ShardedSession(Session):
-    """Push-based driving of the sharded runtime.
+class ShardedSession(WindowedSession):
+    """Eager push-based driving of the sharded runtime.
 
-    Eager mode applies the Forest independence rule *online*: a shard
-    boundary is detected the moment a window opens at or beyond the
-    maximum end of every earlier window (with no earlier end still
-    unknown) — the same cuts :func:`plan_shards` finds statically.  The
-    sealed shard is immediately processed by a full in-process
+    Applies the Forest independence rule *online*: a shard boundary is
+    detected the moment a window opens at or beyond the maximum end of
+    every earlier window (with no earlier end still unknown) — the same
+    cuts :func:`plan_shards` finds statically.  The sealed shard is
+    immediately processed by a full in-process
     :class:`~repro.spectre.engine.SpectreEngine`, its complex events are
     returned from that ``push``, and its events are dropped from the
     buffer, so unbounded island-structured streams run in bounded
-    memory.  Lazy mode buffers the stream and delegates ``flush`` to
-    the (possibly forked) batch path — exact historical behavior.
+    memory.  The scaffold's cursor stands on the last window of the last
+    sealed shard: a shard's windows stay live until the shard ran.
     """
 
     def __init__(self, engine: ShardedSpectreEngine, *,
-                 eager: bool = True, gc: bool | None = None) -> None:
-        super().__init__(eager=eager, gc=gc)
+                 gc: bool | None = None) -> None:
+        super().__init__(engine.query, gc=gc)
         self.engine = engine
-        self._buffer: list[Event] = []           # lazy mode
-        self._batch_result: "SpectreResult | None" = None
-        self._splitter = Splitter(engine.query.window) if eager else None
         self.shards: list[Shard] = []
         self.outcomes: list[ShardOutcome] = []
-        self._complex: list["ComplexEvent"] = []
-        self._windows_seen = 0
-        self._cur_first = 0    # first window id of the current shard
-        self._cur_start = 0    # first stream position of the current shard
         self._max_end = 0      # max known end over all seen windows
         self._unknown_ids: set[int] = set()  # open windows, end unknown
         self._sealed: list[tuple[int, int]] = []  # (next_first, boundary)
 
-    # -- eager bookkeeping -------------------------------------------------
-
-    def _note_closed(self) -> None:
-        assert self._splitter is not None
-        for window in self._splitter.drain_closed():
-            if window.window_id in self._unknown_ids:
+    def _queue_windows(self, windows: list[Window]) -> None:
+        """Closed windows are not queued — their shard runs as a whole —
+        but a time-scoped one only now reveals its end."""
+        for window in windows:
+            if window.window_id in self._unknown_ids:  # opened earlier
                 self._unknown_ids.discard(window.window_id)
-                assert window.end_pos is not None
                 self._max_end = max(self._max_end, window.end_pos)
 
     def _ingest_many(self, events: Sequence[Event]) -> None:
-        if not self.eager:
-            self._buffer.extend(events)
-            return
-        assert self._splitter is not None
-        opened = self._splitter.ingest_many(events)
-        # every end the batch resolved is noted before its opens are
-        # tested, matching the static plan's full knowledge.  Knowing
-        # an end earlier than the per-event order would changes no cut:
-        # it only forbids boundaries below that end, which the window,
-        # still open at those positions, forbade anyway.
-        self._note_closed()
-        for window in opened:
-            if (self._windows_seen > 0 and not self._unknown_ids
+        # every end the batch resolved is noted (by the scaffold's
+        # hand-off) before its opens are tested, matching the static
+        # plan's full knowledge.  Knowing an end earlier than the
+        # per-event order would changes no cut: it only forbids
+        # boundaries below that end, which the window, still open at
+        # those positions, forbade anyway.
+        for window in super()._ingest_many(events):
+            if (window.window_id > 0 and not self._unknown_ids
                     and window.start_pos >= self._max_end):
                 self._sealed.append((window.window_id, window.start_pos))
-            self._windows_seen += 1
             if window.end_pos is not None:
                 self._max_end = max(self._max_end, window.end_pos)
             else:
                 self._unknown_ids.add(window.window_id)
 
     def _finish(self) -> None:
-        if not self.eager:
-            return
-        assert self._splitter is not None
-        self._splitter.finish()
-        self._note_closed()
+        super()._finish()
         # the remainder — windows and trailing events — is the last shard
-        self._sealed.append((self._windows_seen, len(self._splitter.stream)))
+        self._sealed.append((self.splitter.stats.windows_opened,
+                             len(self.splitter.stream)))
 
     def _run_sealed(self, next_first: int,
                     boundary: int) -> list["ComplexEvent"]:
-        assert self._splitter is not None
+        stream = self.splitter.stream
+        first = self._processed_through + 1
         shard = Shard(
             index=len(self.shards),
-            start_pos=self._cur_start,
+            start_pos=self.shards[-1].end_pos if self.shards else 0,
             end_pos=boundary,
-            window_id_offset=self._cur_first,
-            window_count=next_first - self._cur_first,
+            window_id_offset=first,
+            window_count=next_first - first,
         )
+        # events ahead of the stream's first window belong to shard 0
+        # by position but to no window: garbage collection may have
+        # dropped them already
         outcome = execute_shard(
             self.engine.query, self.engine.config, shard,
-            self._splitter.stream.slice(shard.start_pos, boundary))
+            stream.slice(max(shard.start_pos, stream.offset), boundary))
         self.shards.append(shard)
         self.outcomes.append(outcome)
-        self._complex.extend(outcome.complex_events)
-        self._cur_first = next_first
-        self._cur_start = boundary
+        self._processed_through = next_first - 1
         return outcome.complex_events
 
     def _drain(self) -> list["ComplexEvent"]:
-        if not self.eager:
-            # only reached from flush(): the batch path does everything
-            self._batch_result = self.engine._run_batch(self._buffer)
-            self._buffer = []
-            return list(self._batch_result.complex_events)
         emitted: list["ComplexEvent"] = []
         for next_first, boundary in self._sealed:
             emitted.extend(self._run_sealed(next_first, boundary))
         self._sealed = []
         return emitted
 
-    def _collect_garbage(self) -> None:
-        if self._splitter is None:
-            return
-        self._splitter.retire(self._cur_first - 1)
-        self._splitter.stream.trim(self._cur_start)
-
-    # -- results -----------------------------------------------------------
-
     def result(self) -> "SpectreResult":
-        from repro.spectre.engine import RunStats, SpectreResult
-        if not self.eager:
-            if self._batch_result is not None:
-                return self._batch_result
-            return SpectreResult(
-                complex_events=[], input_events=self.events_pushed,
-                virtual_time=0.0, stats=RunStats(),
-                config=self.engine.config)
-        return SpectreResult(
-            complex_events=list(self._complex),
-            input_events=self.events_pushed,
-            virtual_time=max((outcome.virtual_time
-                              for outcome in self.outcomes), default=0.0),
-            stats=merge_run_stats(outcome.stats
-                                  for outcome in self.outcomes),
-            config=self.engine.config,
-        )
+        return merge_outcomes(self.outcomes, self.events_pushed,
+                              self.engine.config)
 
     def consumed_seqs(self) -> frozenset[int]:
-        if not self.eager:
-            return self.engine.consumed_seqs
-        if not self.outcomes:
-            return frozenset()
         return frozenset().union(
             *(outcome.consumed_seqs for outcome in self.outcomes))
+
+
+class BufferedShardedSession(Session):
+    """Lazy driving of the sharded runtime: buffer the stream, hand it
+    to the (possibly forked) batch path at ``flush`` — exact historical
+    behavior.  There is no splitter here; the batch path plans its
+    shards statically."""
+
+    def __init__(self, engine: ShardedSpectreEngine) -> None:
+        super().__init__(eager=False)
+        self.engine = engine
+        self._buffer: list[Event] = []
+        self._batch_result: "SpectreResult | None" = None
+
+    def _ingest_many(self, events: Sequence[Event]) -> None:
+        self._buffer.extend(events)
+
+    def _finish(self) -> None:
+        pass
+
+    def _drain(self) -> list["ComplexEvent"]:
+        # only reached from flush(): the batch path does everything
+        self._batch_result = self.engine._run_batch(self._buffer)
+        self._buffer = []
+        return list(self._batch_result.complex_events)
+
+    def result(self) -> "SpectreResult":
+        if self._batch_result is not None:
+            return self._batch_result
+        return merge_outcomes((), self.events_pushed, self.engine.config)
+
+    def consumed_seqs(self) -> frozenset[int]:
+        return self.engine.consumed_seqs

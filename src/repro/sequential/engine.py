@@ -20,17 +20,16 @@ the number of produced complex events provides the ground truth value"
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
 from repro.consumption.ledger import ConsumptionLedger
-from repro.matching.base import Feedback
-from repro.matching.kernel import classifier_for
+from repro.matching.base import Detector, Feedback
 from repro.patterns.query import Query
-from repro.streaming.session import Session, run_batch
-from repro.windows.splitter import Splitter
+from repro.streaming.session import WindowedSession, run_batch
 from repro.windows.window import Window
 
 
@@ -38,12 +37,12 @@ from repro.windows.window import Window
 class SequentialResult:
     """Outcome of a sequential run."""
 
-    complex_events: list[ComplexEvent]
-    windows: int
-    groups_created: int
-    groups_completed: int
-    events_fed: int
-    events_skipped_consumed: int
+    complex_events: list[ComplexEvent] = field(default_factory=list)
+    windows: int = 0
+    groups_created: int = 0
+    groups_completed: int = 0
+    events_fed: int = 0
+    events_skipped_consumed: int = 0
     # events skipped by the compiled plan's type prefilter, summed over
     # windows (0 on the interpreted path / UDF queries)
     events_prefiltered: int = 0
@@ -60,56 +59,45 @@ class SequentialResult:
         return [ce.identity() for ce in self.complex_events]
 
 
-class SequentialSession(Session):
-    """Push-based driving of the sequential engine.
+class SequentialSession(WindowedSession):
+    """Push-based driving of an in-order engine: the one window loop.
 
     A window is processed the moment the stream proves it complete (the
     splitter closes it), against the ledger state left by all earlier
     windows — exactly the batch order, so streaming and batch results
-    are identical, statistics included.
+    are identical, statistics included.  The engine supplies the
+    per-window policy (:meth:`SequentialEngine.new_detector`).
     """
 
     def __init__(self, engine: "SequentialEngine", *, eager: bool = True,
                  gc: bool | None = None) -> None:
-        super().__init__(eager=eager, gc=gc)
+        super().__init__(engine.query, eager=eager, gc=gc)
         self.engine = engine
-        self._splitter = Splitter(engine.query.window,
-                                  classifier=classifier_for(engine.query))
-        self._ledger = ConsumptionLedger()
+        self.ledger = ConsumptionLedger()
+        self.counters = SequentialResult()
+        self.wall_seconds = 0.0  # kept by engines that time their windows
         self._pending: deque[Window] = deque()
-        self._result = SequentialResult(
-            complex_events=[], windows=0, groups_created=0,
-            groups_completed=0, events_fed=0, events_skipped_consumed=0)
-        self._last_window_id = -1
 
-    def _ingest_many(self, events: Sequence[Event]) -> None:
-        self._splitter.ingest_many(events)
-        self._pending.extend(self._splitter.drain_closed())
-
-    def _finish(self) -> None:
-        self._splitter.finish()
-        self._pending.extend(self._splitter.drain_closed())
+    def _queue_windows(self, windows: list[Window]) -> None:
+        self._pending.extend(windows)
 
     def _drain(self) -> list[ComplexEvent]:
-        before = len(self._result.complex_events)
-        classifier = self._splitter.classifier
+        if not self._pending:  # the common push: no window closed
+            return []
+        output = self.counters.complex_events
+        before = len(output)
         while self._pending:
             window = self._pending.popleft()
-            self._result.windows += 1
-            self.engine._process_window(window, self._ledger, self._result,
-                                        classifier)
-            self._last_window_id = window.window_id
-        return self._result.complex_events[before:]
+            self.counters.windows += 1
+            self.engine._process_window(window, self)
+            self._processed_through = window.window_id
+        return output[before:]
 
-    def _collect_garbage(self) -> None:
-        self._splitter.retire(self._last_window_id)
-        self._splitter.trim_to_live()
-
-    def result(self) -> SequentialResult:
-        return self._result
+    def result(self):
+        return self.engine._result(self)
 
     def consumed_seqs(self) -> frozenset[int]:
-        return self._ledger.snapshot()
+        return self.ledger.snapshot()
 
 
 class SequentialEngine:
@@ -123,46 +111,43 @@ class SequentialEngine:
         """Open a push-based streaming session (Engine protocol)."""
         return SequentialSession(self, eager=eager, gc=gc)
 
-    def run(self, events: Iterable[Event],
-            **open_options) -> SequentialResult:
+    def run(self, events: Iterable[Event], **open_options):
         """Process a finite stream to completion (a lazy session,
         driven and flushed)."""
         return run_batch(self, events, **open_options)
 
-    def _process_window(self, window: Window, ledger: ConsumptionLedger,
-                        result: SequentialResult,
-                        classifier=None) -> None:
-        detector = self.query.new_detector(window.start_event)
-        if classifier is not None:
-            # compiled plan: events were classified once at ingestion;
-            # irrelevant ones are skipped in O(1), before the ledger
-            # check, without calling the detector (an event no atom can
-            # bind is never consumed and never matters)
-            flags = classifier.flags(window.start_pos, window.end_pos)
-            for event, is_relevant in zip(window.events(), flags):
-                if detector.done:
-                    break
-                if not is_relevant:
-                    result.events_prefiltered += 1
-                    continue
-                if ledger.is_consumed(event):
-                    result.events_skipped_consumed += 1
-                    continue
-                result.events_fed += 1
-                feedback = detector.process(event)
-                if not feedback.is_empty:
-                    self._apply(feedback, window, ledger, result)
-        else:
-            for event in window.events():
-                if detector.done:
-                    break
-                if ledger.is_consumed(event):
-                    result.events_skipped_consumed += 1
-                    continue
-                result.events_fed += 1
-                feedback = detector.process(event)
-                if not feedback.is_empty:
-                    self._apply(feedback, window, ledger, result)
+    def new_detector(self, start_event: Event) -> Detector:
+        """The per-window policy: a fresh detector for the window that
+        ``start_event`` opens."""
+        return self.query.new_detector(start_event)
+
+    def _result(self, session: SequentialSession) -> SequentialResult:
+        return session.counters
+
+    def _process_window(self, window: Window,
+                        session: SequentialSession) -> None:
+        detector = self.new_detector(window.start_event)
+        ledger, result = session.ledger, session.counters
+        classifier = session.splitter.classifier
+        # compiled plan: events were classified once at ingestion;
+        # irrelevant ones are skipped in O(1), before the ledger check,
+        # without calling the detector (an event no atom can bind is
+        # never consumed and never matters).  No plan: all relevant.
+        flags = repeat(True) if classifier is None else \
+            classifier.flags(window.start_pos, window.end_pos)
+        for event, is_relevant in zip(window.events(), flags):
+            if detector.done:
+                break
+            if not is_relevant:
+                result.events_prefiltered += 1
+                continue
+            if ledger.is_consumed(event):
+                result.events_skipped_consumed += 1
+                continue
+            result.events_fed += 1
+            feedback = detector.process(event)
+            if not feedback.is_empty:
+                self._apply(feedback, window, ledger, result)
         self._apply(detector.close(), window, ledger, result)
 
     def _apply(self, feedback: Feedback, window: Window,

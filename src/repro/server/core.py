@@ -75,7 +75,7 @@ from repro.server.protocol import (
 
 __all__ = ["ServerConfig", "ServerBusy", "AuthError",
            "AuthAttachMiddleware", "ClientSession", "ServerCore",
-           "Connection"]
+           "Connection", "SLOW_CONSUMER_POLICIES"]
 
 _CLOSE = object()  # outbox sentinel: sender task exits after this
 
@@ -90,6 +90,10 @@ class ServerBusy(RuntimeError):
 
 class AuthError(RuntimeError):
     """An unauthenticated client reached a guarded operation."""
+
+
+# ServerConfig.slow_consumer / ``serve --slow-consumer``
+SLOW_CONSUMER_POLICIES = ("block", "drop_oldest", "disconnect")
 
 
 @dataclass
@@ -127,8 +131,9 @@ class ServerConfig:
     heartbeat_interval: Optional[float] = None
     idle_timeout: Optional[float] = None
     # what to do when a client's outbox is full and a match/watermark
-    # frame arrives: "block" the pump (today's behaviour), drop the
-    # oldest queued frame, or disconnect with goodbye("slow_consumer")
+    # frame arrives (one of SLOW_CONSUMER_POLICIES): "block" the pump,
+    # drop the oldest queued frame, or disconnect with
+    # goodbye("slow_consumer")
     slow_consumer: str = "block"
     chaos: Optional[object] = None   # ChaosConfig — seeded fault injection
 
@@ -275,11 +280,10 @@ class ServerCore:
 
     def __init__(self, config: ServerConfig,
                  ratelimit: Optional[RateLimitMiddleware] = None) -> None:
-        if config.slow_consumer not in ("block", "drop_oldest",
-                                        "disconnect"):
+        if config.slow_consumer not in SLOW_CONSUMER_POLICIES:
             raise ValueError(
-                f"slow_consumer must be 'block', 'drop_oldest' or "
-                f"'disconnect', got {config.slow_consumer!r}")
+                f"slow_consumer must be one of {SLOW_CONSUMER_POLICIES}, "
+                f"got {config.slow_consumer!r}")
         self.config = config
         self.metrics = MetricsMiddleware()
         self.auth = AuthAttachMiddleware(self)

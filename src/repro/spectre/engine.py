@@ -35,14 +35,13 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.consumption.group import ConsumptionGroup
 from repro.consumption.ledger import ConsumptionLedger
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
 from repro.matching.base import Feedback
-from repro.matching.kernel import classifier_for
 from repro.patterns.query import Query
 from repro.runtime.forest import Forest
 from repro.runtime.instances import InstancePool
@@ -55,7 +54,7 @@ from repro.spectre.prediction import (
     MarkovPredictor,
 )
 from repro.spectre.version import WindowVersion
-from repro.streaming.session import Session, run_batch
+from repro.streaming.session import WindowedSession, run_batch
 from repro.utils.ids import IdGenerator
 from repro.windows.splitter import Splitter
 from repro.windows.window import Window
@@ -178,11 +177,12 @@ class SpectreEngine:
         self._pending: deque[Window] = deque()
         self._unfinished = 0
         self._counter_lock = threading.Lock()
-        self._splitter: Optional[Splitter] = None
-        self._classifier = None  # type prefilter flags (compiled plans)
+        # the session scaffold's splitter and its type prefilter flags
+        # (compiled plans), bound when a session opens on this engine
+        self.splitter: Optional[Splitter] = None
+        self._classifier = None
         self._prob_cache: dict[int, float] = {}
         self._consumes = query.consumes
-        self._input_count = 0
         self._last_progress_cycle = 0
         self._admitted_at: dict[int, float] = {}
 
@@ -234,40 +234,17 @@ class SpectreEngine:
         After ``prepare``, callers may drive :meth:`splitter_cycle` and
         :meth:`instance_phase` manually (the Fig. 10(c) overhead benchmark
         times isolated splitter cycles this way); :meth:`run` feeds the
-        same queues incrementally through a lazy session.
+        same queue incrementally through a lazy session.
         """
-        splitter = self._new_splitter()
-        windows = splitter.split_all(events)
-        splitter.drain_closed()  # discard: windows are queued wholesale
-        self._splitter = splitter
-        self._pending = deque(windows)
-        self._input_count = len(splitter.stream)
-        self.stats.windows_total = len(windows)
+        session = self.open(eager=False)
+        session.push_many(events)
+        session._finish()
 
-    # -- incremental ingestion (the session feeds these) -------------------
-
-    def _new_splitter(self) -> Splitter:
-        self._classifier = classifier_for(self.query)
-        return Splitter(self.query.window, classifier=self._classifier)
-
-    def ingest_events(self, events: Sequence[Event]) -> None:
-        """Admit a batch; queue the windows it proved complete."""
-        if self._splitter is None:
-            self._splitter = self._new_splitter()
-        self._splitter.ingest_many(events)
-        self._input_count += len(events)
-        for window in self._splitter.drain_closed():
-            self._pending.append(window)
-            self.stats.windows_total += 1
-
-    def finish_stream(self) -> None:
-        """End-of-stream: close and queue the trailing windows."""
-        if self._splitter is None:
-            self._splitter = self._new_splitter()
-        self._splitter.finish()
-        for window in self._splitter.drain_closed():
-            self._pending.append(window)
-            self.stats.windows_total += 1
+    def queue_windows(self, windows: list[Window]) -> None:
+        """Hand the runtime windows the stream proved complete, in id
+        order (the session scaffold feeds this)."""
+        self._pending.extend(windows)
+        self.stats.windows_total += len(windows)
 
     def drain(self, max_cycles: int = 50_000_000) -> None:
         """Cycle until every queued window is emitted (the batch loop).
@@ -300,7 +277,8 @@ class SpectreEngine:
         """Snapshot the run outcome (used after manual driving)."""
         return SpectreResult(
             complex_events=self.output,
-            input_events=self._input_count,
+            input_events=0 if self.splitter is None
+            else self.splitter.ingested,
             virtual_time=self.virtual_time,
             stats=self.stats,
             config=self.config,
@@ -315,9 +293,6 @@ class SpectreEngine:
         prefix; lazy sessions (``eager=False``) defer all processing to
         ``flush()``, reproducing the historical batch run exactly.
         """
-        if self._splitter is not None:
-            raise RuntimeError(
-                "engine already driven; use a fresh engine per stream")
         return SpectreSession(self, eager=eager, gc=gc,
                               max_cycles=max_cycles)
 
@@ -444,8 +419,7 @@ class SpectreEngine:
             return cached
         owner: Optional[WindowVersion] = group.owner
         position = owner.position if owner is not None else 0
-        assert self._splitter is not None
-        avg_size = self._splitter.stats.avg_window_size
+        avg_size = self.splitter.stats.avg_window_size
         events_left = max(1.0, avg_size - position)
         probability = self.predictor.probability(group.delta, events_left)
         self._prob_cache[group.group_id] = probability
@@ -646,7 +620,7 @@ class SpectreEngine:
         self.oplog.apply_retract(self.forest, self, version, retired)
 
 
-class SpectreSession(Session):
+class SpectreSession(WindowedSession):
     """Push-based driving of the speculative runtime.
 
     Eager mode closes the loop per event: the windows the event
@@ -656,52 +630,39 @@ class SpectreSession(Session):
     closures, dependent windows closed by one event); a batch run simply
     sees deeper backlogs and therefore more of it — output is identical
     either way by the sequential-equivalence contract.
-
-    Garbage collection (eager mode): emitted windows are retired from
-    the splitter and the stream prefix below every live window is
-    trimmed, so an unbounded stream holds only the events of its open
-    windows plus the dependency forest.
     """
 
     def __init__(self, engine: SpectreEngine, *, eager: bool = True,
                  gc: bool | None = None,
                  max_cycles: int = 50_000_000) -> None:
-        super().__init__(eager=eager, gc=gc)
+        if engine.splitter is not None:
+            raise RuntimeError(
+                "engine already driven; use a fresh engine per stream")
+        super().__init__(engine.query, eager=eager, gc=gc)
+        engine.splitter = self.splitter
+        engine._classifier = self.splitter.classifier
         self.engine = engine
         self.max_cycles = max_cycles
         self._handed = 0  # prefix of engine.output already returned
 
-    def _ingest_many(self, events: Sequence[Event]) -> None:
-        self.engine.ingest_events(events)
-
-    def _finish(self) -> None:
-        self.engine.finish_stream()
+    def _queue_windows(self, windows: list[Window]) -> None:
+        self.engine.queue_windows(windows)
 
     def _run_cycles(self) -> None:
         self.engine.drain(self.max_cycles)
 
     def _drain(self) -> list[ComplexEvent]:
         self._run_cycles()
+        # emission is in window-id order and ids are dense from 0, so
+        # everything below the emitted count is final
+        self._processed_through = self.engine.stats.windows_emitted - 1
         output = self.engine.output
         new = output[self._handed:]
         self._handed = len(output)
         return new
-
-    def _collect_garbage(self) -> None:
-        splitter = self.engine._splitter
-        if splitter is None:
-            return
-        # emission is in window-id order and ids are dense from 0, so
-        # everything below the emitted count is retired
-        splitter.retire(self.engine.stats.windows_emitted - 1)
-        splitter.trim_to_live()
 
     def result(self) -> SpectreResult:
         return self.engine.result()
 
     def consumed_seqs(self) -> frozenset[int]:
         return self.engine._ledger.snapshot()
-
-    @property
-    def _splitter(self):  # watermark support (base class hook)
-        return self.engine._splitter

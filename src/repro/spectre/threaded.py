@@ -102,9 +102,6 @@ class ThreadedSpectreEngine(SpectreEngine):
     def open(self, *, eager: bool = True, gc: bool | None = None,
              timeout_seconds: float = 300.0) -> "ThreadedSession":
         """Open a push-based session with live worker threads."""
-        if self._splitter is not None:
-            raise RuntimeError(
-                "engine already driven; use a fresh engine per stream")
         return ThreadedSession(self, eager=eager, gc=gc,
                                timeout_seconds=timeout_seconds)
 

@@ -202,6 +202,9 @@ class PipelineSession(Session):
     def consumed_seqs(self) -> frozenset[int]:
         return self.inner.consumed_seqs()
 
+    def earliest_live_start(self) -> Optional[float]:
+        return self.inner.earliest_live_start()
+
     @property
     def watermark(self) -> float:
         return self.inner.watermark

@@ -46,16 +46,15 @@ block always cleans up.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, \
-    runtime_checkable
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
+from repro.matching.kernel import classifier_for
 from repro.middleware.base import MiddlewareContext, MiddlewareStack
 from repro.middleware.sinks import SinkError
-
-if TYPE_CHECKING:
-    from repro.windows.splitter import Splitter
+from repro.windows.splitter import Splitter
+from repro.windows.window import Window
 
 
 class SessionStateError(RuntimeError):
@@ -79,6 +78,7 @@ class Session(abc.ABC):
     ``_drain``, ``_finish``, ``result``) plus optionally garbage
     collection (``_collect_garbage``) and resource release
     (``_release``); this base class owns the lifecycle state machine.
+    Engine sessions build on :class:`WindowedSession`.
     """
 
     def __init__(self, *, eager: bool = True, gc: bool | None = None,
@@ -345,12 +345,10 @@ class Session(abc.ABC):
 
     # -- streaming watermark ----------------------------------------------
 
-    def _live_window_starts(self) -> Iterable[float]:
-        """Start timestamps of windows that may still emit matches."""
-        splitter: "Splitter | None" = getattr(self, "_splitter", None)
-        if splitter is None:
-            return ()
-        return (window.start_event.timestamp for window in splitter.windows)
+    def earliest_live_start(self) -> Optional[float]:
+        """Start timestamp of the earliest opened window that may still
+        emit a match; ``None`` when there is none."""
+        return None
 
     @property
     def watermark(self) -> float:
@@ -362,7 +360,61 @@ class Session(abc.ABC):
         Streaming operator graphs use this to release derived events
         downstream in deterministic order.
         """
-        return min(self._live_window_starts(), default=self._last_ts)
+        start = self.earliest_live_start()
+        return self._last_ts if start is None else start
+
+
+class WindowedSession(Session):
+    """The windowing scaffold every engine session stands on.
+
+    The splitter is the one component that sees every event and the
+    window is the one unit of work (Fig. 2, Sec. 2.1).  This class owns
+    that mechanism once: the :attr:`splitter`, the hand-off of windows
+    the stream proved complete (on a push and at end-of-stream) and the
+    *processed through* cursor from which garbage collection and
+    :meth:`earliest_live_start` are both derived.  An engine session
+    supplies policy: :meth:`_queue_windows` and a ``_drain`` that
+    processes windows in id order and moves ``_processed_through``.
+    """
+
+    def __init__(self, query, *, eager: bool = True,
+                 gc: bool | None = None) -> None:
+        super().__init__(eager=eager, gc=gc)
+        self.splitter = Splitter(query.window,
+                                 classifier=classifier_for(query))
+        # id of the last window whose matches are final (ids are dense
+        # from 0 and windows are processed in id order)
+        self._processed_through = -1
+
+    @abc.abstractmethod
+    def _queue_windows(self, windows: list[Window]) -> None:
+        """Take the windows the stream just proved complete (id order)."""
+
+    def _ingest_many(self, events: Sequence[Event]) -> list[Window]:
+        """One splitter pass, then the hand-off of whatever it closed;
+        returns the windows the batch opened."""
+        opened = self.splitter.ingest_many(events)
+        closed = self.splitter.drain_closed()
+        if closed:
+            self._queue_windows(closed)
+        return opened
+
+    def _finish(self) -> None:
+        self.splitter.finish()
+        self._ingest_many(())  # hands off the windows finish() closed
+
+    def _collect_garbage(self) -> None:
+        self.splitter.retire(self._processed_through)
+        self.splitter.trim_to_live()
+
+    def earliest_live_start(self) -> Optional[float]:
+        """A window is live until it is *processed* — retiring it
+        (``gc``) only frees memory, it does not move time."""
+        windows = self.splitter.windows
+        index = self.splitter.live_index(self._processed_through)
+        if index == len(windows):
+            return None
+        return windows[index].start_event.timestamp
 
 
 @runtime_checkable

@@ -14,7 +14,7 @@ identical window decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.events.event import Event
 from repro.events.stream import EventStream, StreamOrderError
@@ -98,11 +98,12 @@ class Splitter:
         their size is reached, time-scoped windows close when an event
         beyond their duration arrives (events are globally ordered, so the
         first such event proves the window can receive no more).  An
+        empty batch is a no-op, also after :meth:`finish`.  An
         out-of-order event raises
         :class:`~repro.events.stream.StreamOrderError` after the events
         before it were ingested; it and the rest of the batch are not.
         """
-        if self._finished:
+        if self._finished and events:
             raise RuntimeError("splitter already finished")
         stream = self.stream
         first = len(stream)
@@ -175,14 +176,10 @@ class Splitter:
         self._finished = True
         end = len(self.stream)
         for window in self._open_windows:
-            if window.end_pos is None:
-                window.close(end)
-            elif window.end_pos > end:
+            if window.end_pos is not None and window.end_pos > end:
                 # count window truncated by end-of-stream
                 window.end_pos = end
-            self.stats.windows_closed += 1
-            self.stats.closed_size_sum += window.size()  # type: ignore[arg-type]
-            self._newly_closed.append(window)
+            self._finalize(window, end)
         self._open_windows = []
         self._front_expiry = None
 
@@ -207,14 +204,11 @@ class Splitter:
 
     def split_all(self, events) -> list[Window]:
         """Convenience: ingest an entire finite stream and return all
-        windows (used by the sequential and T-REX baselines)."""
+        windows (the static shard planner's one-shot pass)."""
         self.ingest_many(events if isinstance(events, (list, tuple))
                          else list(events))
         self.finish()
         return list(self.windows)
-
-    def iter_windows(self) -> Iterator[Window]:
-        return iter(self.windows)
 
     # -- prefix garbage collection -----------------------------------------
 
@@ -242,13 +236,22 @@ class Splitter:
             self._retired += keep
         return keep
 
+    def live_index(self, processed_through: int) -> int:
+        """Index into :attr:`windows` of the first window with an id
+        above ``processed_through`` (``len(windows)`` if none).  Ids are
+        dense and the list is id- and start-ordered, so the windows not
+        processed yet are the slice from here, earliest first — whether
+        or not the processed ones were retired."""
+        return min(processed_through + 1 - self._retired, len(self.windows))
+
     def min_live_start(self) -> int:
         """Smallest stream position a non-retired window references
         (= the stream length when no window is live): the safe
-        :meth:`EventStream.trim` horizon."""
+        :meth:`EventStream.trim` horizon.  Windows open in position
+        order, so it is the front window's start."""
         if not self.windows:
             return len(self.stream)
-        return min(window.start_pos for window in self.windows)
+        return self.windows[0].start_pos
 
     def trim_to_live(self) -> int:
         """Trim the stream (and the relevance classifier, if any) below

@@ -221,7 +221,7 @@ def test_flushed_run_recovers_terminal(tmp_path):
 
     second = DurableHub(tmp_path, fsync="never")
     assert second.recovery_report.recovered
-    assert second.hub._flushed
+    assert second.hub.is_flushed
     emits = list(second.manager.read_emits("band"))
     assert emits and emits[-1][0] == second.manager.cursor("band")
     with pytest.raises(Exception):
@@ -390,7 +390,7 @@ def test_recovery_replays_each_logged_push_as_one_batch(tmp_path,
         engine_session = attachment.session.inner
         assert entered[id(attachment.session)] == records
         assert entered[id(engine_session)] == records
-        assert split[id(engine_session._splitter)] == records
+        assert split[id(engine_session.splitter)] == records
         assert engine_session.events_pushed == records * size
     second.manager.close(checkpoint=False)
 

@@ -32,6 +32,7 @@ root; everything is seeded, nothing is downloaded)::
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import shutil
 from pathlib import Path
@@ -46,6 +47,7 @@ from repro.durability.wal import encode_record, list_segments, read_wal
 from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
 from repro.queries.fig9 import q1_text
+from repro.streaming.builder import build_engine
 
 GOLDEN = Path(__file__).parent / "golden"
 BAND_PARAMS = {"lowerLimit": 49.9, "upperLimit": 50.1}
@@ -129,6 +131,52 @@ def test_rerecording_yields_the_golden_records(tmp_path, name):
     # the hot-path records are byte-identical, key order included
     assert [encode_record(r) for r in got if r["t"] in ("push", "emit")] \
         == [encode_record(r) for r in want if r["t"] in ("push", "emit")]
+
+
+# engine-native counters of the golden workloads, recorded at commit
+# 2d0eb3a (before the session scaffold): every field, not just matches
+GOLDEN_COUNTERS = {
+    ("band", "sequential"): dict(
+        windows=8, groups_created=8, groups_completed=8, events_fed=100,
+        events_skipped_consumed=0, events_prefiltered=0),
+    ("band", "trex"): dict(windows=8, events_fed=100, input_events=400),
+    ("q1", "sequential"): dict(
+        windows=22, groups_created=15, groups_completed=14, events_fed=680,
+        events_skipped_consumed=63, events_prefiltered=0),
+    ("q1", "spectre"): dict(
+        input_events=400, virtual_time=472.0, stats=dict(
+            cycles=59, windows_total=22, windows_emitted=22,
+            versions_created=133, versions_dropped=111, max_tree_size=35,
+            groups_created=22, groups_completed=15, groups_abandoned=1,
+            rollbacks=3, validation_rollbacks=0, steps_processed=1765,
+            steps_suppressed=77, wasted_steps=50,
+            window_latencies=[
+                104.0, 112.0, 128.0, 128.0, 200.0, 216.0, 224.0, 240.0,
+                296.0, 216.0, 232.0, 192.0, 240.0, 224.0, 224.0, 200.0,
+                208.0, 160.0, 144.0, 72.0, 72.0, 64.0])),
+}
+
+
+@pytest.mark.parametrize("name,engine", sorted(GOLDEN_COUNTERS))
+def test_engine_counters_on_the_golden_workloads(name, engine):
+    """``SequentialResult``/``TRexResult``/``RunStats`` fields and
+    ``virtual_time`` are bit-identical to the recorded run, lazy (batch)
+    and eager alike for the in-order engines."""
+    query, options = next(
+        (query, options if engine == wired else {})
+        for label, query, wired, options in _queries() if label == name)
+    want = dict(GOLDEN_COUNTERS[name, engine])
+    stats = want.pop("stats", None)
+    results = [build_engine(query, engine, **options).run(EVENTS)]
+    if stats is None:
+        session = build_engine(query, engine, **options).open()
+        session.push_many(EVENTS)
+        session.flush()
+        results.append(session.result())
+    for result in results:
+        assert {field: getattr(result, field) for field in want} == want
+        if stats is not None:
+            assert dataclasses.asdict(result.stats) == stats
 
 
 def test_rewriting_the_crashed_wal_yields_the_golden_records(tmp_path):

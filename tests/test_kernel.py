@@ -298,7 +298,7 @@ class TestEventClassifier:
         session = build_engine(query, "sequential").open()
         for i in range(12):
             session.push(ev(i, "A" if i % 2 == 0 else "X"))
-        splitter = session._splitter
+        splitter = session.splitter
         assert splitter.classifier is not None
         assert splitter.classifier.retained <= 8  # retired prefix dropped
         session.close()

@@ -333,4 +333,4 @@ def test_apply_record_reingests_push_and_ignores_outputs():
                    {"t": "flush"}):
         assert apply_record(hub, record, attached.append) == []
     assert attached == [{"t": "attach", "name": "band"}]
-    assert hub._flushed
+    assert hub.is_flushed

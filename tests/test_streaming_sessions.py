@@ -184,7 +184,7 @@ class TestBoundedBuffering:
         n = 3000
         for i in range(n):
             session.push(make_event(i, "ABCX"[i % 4]))
-        splitter = session._splitter
+        splitter = session.splitter
         assert splitter.stream.offset > n - 50, \
             "retired prefix was not dropped"
         assert splitter.stream.retained <= 50
@@ -201,7 +201,7 @@ class TestBoundedBuffering:
         session = make_engine("sequential", query).open()
         for i in range(3):
             session.push(make_event(i, "A", float(10 + i)))
-        assert session._splitter.stream.retained == 0
+        assert session.splitter.stream.retained == 0
         with pytest.raises(StreamOrderError):
             session.push(make_event(3, "A", 5.0))
 
@@ -211,8 +211,8 @@ class TestBoundedBuffering:
         for i in range(500):
             session.push(make_event(i, "ABCX"[i % 4]))
         session.flush()
-        assert session._splitter.stream.offset == 0
-        assert session._splitter.stream.retained == 500
+        assert session.splitter.stream.offset == 0
+        assert session.splitter.stream.retained == 500
 
 
 class TestLifecycleEdges:
@@ -447,9 +447,8 @@ class TestBatchIngestParity:
             matches += session.push_many(chunk)
             # GC ran between batches: nothing below the oldest live
             # window is retained
-            splitter = session._splitter
-            if splitter is not None:
-                assert splitter.stream.offset == splitter.min_live_start()
+            splitter = session.splitter
+            assert splitter.stream.offset == splitter.min_live_start()
         matches += session.flush()
 
         identities = [ce.identity() for ce in matches]

@@ -14,8 +14,7 @@ from benchmarks.figure_output import format_series, write_figure
 from repro.queries import make_q1, make_q2
 from repro.sequential import SequentialEngine
 from repro.spectre import SpectreConfig, SpectreEngine
-from repro.spectre.approximate import ApproximateSpectreEngine
-from repro.spectre.elasticity import ElasticityPolicy, ElasticSpectreEngine
+from repro.spectre.elasticity import ElasticityPolicy
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -25,10 +24,8 @@ def test_extension_approximate_emission(benchmark, price_walk_events):
     def sweep():
         rows = {}
         for threshold in (0.99, 0.7, 0.5):
-            result = ApproximateSpectreEngine(
-                query, SpectreConfig(k=8),
-                emission_threshold=threshold
-            ).run_approximate(price_walk_events)
+            result = SpectreEngine(query, SpectreConfig(
+                k=8, emission_threshold=threshold)).run(price_walk_events)
             rows[threshold] = (len(result.early), result.precision,
                                result.recall)
         return rows
@@ -60,7 +57,8 @@ def test_extension_elasticity(benchmark, nyse_events, nyse_leaders):
         # around the ground truth while windows resolve
         policy = ElasticityPolicy(max_k=32, plateau_k=8, period=100,
                                   min_resolved=10, mid_band=(0.15, 0.85))
-        elastic = ElasticSpectreEngine(query, policy)
+        elastic = SpectreEngine(query, SpectreConfig(
+            k=policy.plateau_k, elasticity=policy))
         elastic_result = elastic.run(nyse_events)
         static_full = SpectreEngine(query, SpectreConfig(k=32)) \
             .run(nyse_events)

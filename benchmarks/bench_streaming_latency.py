@@ -43,13 +43,12 @@ OUTPUT = REPO_ROOT / "BENCH_streaming_latency.json"
 ENGINE_OPTIONS = {
     "sequential": {},
     "spectre": {"k": 2},
-    "sharded": {"k": 2, "workers": 1},
 }
 
 
 def build_workload(quick: bool):
-    """Tumbling-window Q1 over an NYSE stream: windows (and shards)
-    retire steadily, so sessions emit throughout the run."""
+    """Tumbling-window Q1 over an NYSE stream: windows retire steadily,
+    so sessions emit throughout the run."""
     n_events = 4000 if quick else 40000
     events = generate_nyse(n_events, n_symbols=150, n_leading=2, seed=13)
     query = make_q1(q=8, window_size=120,

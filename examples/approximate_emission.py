@@ -7,7 +7,8 @@ approximations" and leaves that to future work — this example runs that
 extension on Q2 (whose consumption groups stay open for most of a window,
 so downstream matches genuinely complete while their fate is uncertain):
 complex events leave speculative window versions as soon as the version's
-survival probability passes a threshold.
+survival probability passes a threshold — the engine's
+``SpectreConfig(emission_threshold=...)`` field.
 
 Two effects reduce precision below 100 %:
 
@@ -21,10 +22,9 @@ The consistent (final) output is identical in every run.
 Run:  python examples/approximate_emission.py
 """
 
-from repro import SpectreConfig
+from repro import SpectreConfig, SpectreEngine
 from repro.datasets import generate_price_walk
 from repro.queries import make_q2
-from repro.spectre.approximate import ApproximateSpectreEngine
 
 
 def main() -> None:
@@ -35,12 +35,11 @@ def main() -> None:
     print(f"{'threshold':>9} {'early':>6} {'precision':>9} {'recall':>7} "
           f"{'final':>6}")
     for threshold in (0.99, 0.9, 0.7, 0.5, 0.3):
-        result = ApproximateSpectreEngine(
-            query, SpectreConfig(k=8), emission_threshold=threshold
-        ).run_approximate(events)
+        result = SpectreEngine(query, SpectreConfig(
+            k=8, emission_threshold=threshold)).run(events)
         print(f"{threshold:>9} {len(result.early):>6} "
               f"{result.precision:>9.0%} {result.recall:>7.0%} "
-              f"{len(result.final.complex_events):>6}")
+              f"{len(result.complex_events):>6}")
 
     print("\nlower thresholds release more events early at lower "
           "precision; recall is always\ncomplete because every final "

@@ -7,12 +7,14 @@ the number of operator instances based on the current pattern completion
 probability."  This example runs that controller on two workloads: one
 where nearly every partial match completes (speculation nearly always
 right → full budget pays off) and one in the mid-probability band (the
-throughput curve plateaus → the controller caps k).
+throughput curve plateaus → the controller caps k).  The controller is
+a ``SpectreConfig`` field of the one speculative engine: the pool starts
+at ``config.k`` and ``engine.adaptations`` records each decision.
 
 Run:  python examples/elastic_scaling.py
 """
 
-from repro import ElasticityPolicy, ElasticSpectreEngine, make_q1
+from repro import ElasticityPolicy, SpectreConfig, SpectreEngine, make_q1
 from repro.datasets import generate_nyse, leading_symbols
 from repro.sequential import SequentialEngine
 
@@ -23,7 +25,8 @@ def run_case(label: str, q: int, events) -> None:
     truth = SequentialEngine(query).run(events).completion_probability
     policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
                               min_resolved=5)
-    engine = ElasticSpectreEngine(query, policy)
+    engine = SpectreEngine(query, SpectreConfig(k=policy.plateau_k,
+                                                elasticity=policy))
     result = engine.run(events)
     adaptations = ", ".join(
         f"cycle {record.cycle}: k->{record.k} (p={record.completion_probability:.2f})"

@@ -90,11 +90,8 @@ from repro.runtime import (
     OpLog,
     RoundRobinScheduler,
     Scheduler,
-    ShardedSpectreEngine,
-    ShardPlan,
     TopKProbabilityScheduler,
     make_scheduler,
-    plan_shards,
 )
 from repro.sequential import SequentialEngine
 from repro.streaming import (
@@ -109,9 +106,7 @@ from repro.streaming import (
     pipeline,
 )
 from repro.spectre import (
-    ApproximateSpectreEngine,
     ElasticityPolicy,
-    ElasticSpectreEngine,
     MarkovPredictor,
     SpectreConfig,
     SpectreEngine,
@@ -170,15 +165,10 @@ __all__ = [
     "SpectreResult",
     "MarkovPredictor",
     "ThreadedSpectreEngine",
-    "ApproximateSpectreEngine",
-    "ElasticSpectreEngine",
     "ElasticityPolicy",
     "Forest",
     "OpLog",
     "InstancePool",
-    "ShardPlan",
-    "ShardedSpectreEngine",
-    "plan_shards",
     "Scheduler",
     "TopKProbabilityScheduler",
     "FifoScheduler",

@@ -15,11 +15,7 @@ binary:
 
     # compare engines / verify the equivalence contract
     python -m repro verify --query q.sql --data quotes.csv --k 8 \\
-        --engine elastic --scheduler roundrobin
-
-    # process-parallel: shard the stream across worker processes
-    python -m repro run --query q.sql --data quotes.csv \\
-        --engine sharded --workers 4 --k 2
+        --engine threaded --scheduler roundrobin
 
     # streaming: read events from stdin (or tail a growing CSV with
     # --poll), emit matches the moment they validate
@@ -89,8 +85,7 @@ def _load_query(path: str, params: Sequence[str], name: str | None = None):
 
 
 def _make_config(args: argparse.Namespace) -> SpectreConfig:
-    return SpectreConfig(k=args.k, scheduler=args.scheduler,
-                         workers=getattr(args, "workers", 1))
+    return SpectreConfig(k=args.k, scheduler=args.scheduler)
 
 
 def _engine_options(args: argparse.Namespace) -> dict:
@@ -216,9 +211,9 @@ def cmd_run_follow(args: argparse.Namespace, query) -> int:
     return 0
 
 
-def _run_summary(args: argparse.Namespace, engine, result) -> str:
+def _run_summary(args: argparse.Namespace, result) -> str:
     """The parenthesised tail of ``run``'s summary line: whatever this
-    engine and its result type have to report."""
+    engine's result type has to report."""
     stats = getattr(result, "stats", None)
     if stats is None:  # the two baselines carry no speculation stats
         if hasattr(result, "completion_probability"):
@@ -226,18 +221,10 @@ def _run_summary(args: argparse.Namespace, engine, result) -> str:
                     f"{result.completion_probability:.0%}")
         return (f"automaton baseline, "
                 f"{result.events_per_second:,.0f} events/s")
-    extra = (f"k={args.k} scheduler={args.scheduler} "
-             f"versions={stats.versions_created} "
-             f"dropped={stats.versions_dropped} "
-             f"rollbacks={stats.rollbacks}")
-    if hasattr(engine, "adaptations"):
-        extra += f" adaptations={len(engine.adaptations)}"
-    if hasattr(engine, "early"):
-        extra += f" early_emissions={len(engine.early)}"
-    if hasattr(engine, "workers_used"):
-        extra += (f" shards={len(engine.plan)} "
-                  f"workers={engine.workers_used}")
-    return extra
+    return (f"k={args.k} scheduler={args.scheduler} "
+            f"versions={stats.versions_created} "
+            f"dropped={stats.versions_dropped} "
+            f"rollbacks={stats.rollbacks}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -246,13 +233,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return cmd_run_follow(args, query)
     events = load_events_csv(args.data)
     started = time.perf_counter()
-    engine = build_engine(query, args.engine, config=_make_config(args))
-    result = engine.run(events)
+    result = build_engine(query, args.engine,
+                          config=_make_config(args)).run(events)
     elapsed = time.perf_counter() - started
     complex_events = result.complex_events
     print(f"{query.name}: {len(complex_events)} complex events from "
           f"{len(events)} input events in {elapsed:.2f}s "
-          f"({_run_summary(args, engine, result)})")
+          f"({_run_summary(args, result)})")
     limit = args.show
     for ce in complex_events[:limit]:
         print(f"  {ce!r}")
@@ -829,9 +816,6 @@ def _add_speculative_flags(parser: argparse.ArgumentParser,
                            default_k: int = 4) -> None:
     parser.add_argument("--k", type=int, default=default_k,
                         help="operator instances (speculative engines)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes (sharded engine; 1 runs "
-                             "the shards in-process)")
     parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
                         default="topk",
                         help="scheduling strategy (speculative engines)")

@@ -55,10 +55,11 @@ class Operator:
         operator name).
     engine:
         Any :data:`repro.streaming.builder.ENGINES` name.
-        ``approximate`` contributes its *consistent* (final) output
-        downstream; the early speculative stream stays in engine state.
     config:
-        SPECTRE configuration (ignored by engines that take none).
+        SPECTRE configuration (ignored by engines that take none).  A
+        config with ``emission_threshold`` set still contributes only
+        its *consistent* (final) output downstream; the early
+        speculative stream stays in engine state.
     """
 
     def __init__(self, name: str, query: Query,

@@ -12,12 +12,11 @@ dependency forest          :mod:`repro.runtime.forest`
 buffered op-log            :mod:`repro.runtime.oplog`
 operator instances         :mod:`repro.runtime.instances`
 scheduling strategies      :mod:`repro.runtime.scheduler`
-process sharding           :mod:`repro.runtime.sharding`
 ========================  =============================================
 
-:class:`~repro.spectre.engine.SpectreEngine` and its variants compose
-these layers; :class:`~repro.graph.graph.OperatorGraph` runs whole
-operator pipelines on top of them.
+:class:`~repro.spectre.engine.SpectreEngine` and its threaded variant
+compose these layers; :class:`~repro.graph.graph.OperatorGraph` runs
+whole operator pipelines on top of them.
 """
 
 from repro.runtime.forest import Forest
@@ -32,12 +31,6 @@ from repro.runtime.scheduler import (
     TopKProbabilityScheduler,
     make_scheduler,
 )
-from repro.runtime.sharding import (
-    Shard,
-    ShardedSpectreEngine,
-    ShardPlan,
-    plan_shards,
-)
 
 __all__ = [
     "Forest",
@@ -45,10 +38,6 @@ __all__ = [
     "RuntimeHooks",
     "InstancePool",
     "OperatorInstance",
-    "Shard",
-    "ShardPlan",
-    "ShardedSpectreEngine",
-    "plan_shards",
     "Scheduler",
     "TopKProbabilityScheduler",
     "FifoScheduler",

@@ -1,15 +1,8 @@
 """SPECTRE: speculative processing of dependent windows (Sec. 3)."""
 
-from repro.spectre.approximate import (
-    ApproximateResult,
-    ApproximateSpectreEngine,
-    EarlyEmission,
-)
+from repro.spectre.approximate import EarlyEmission
 from repro.spectre.config import CostModel, MarkovParams, SpectreConfig
-from repro.spectre.elasticity import (
-    ElasticityPolicy,
-    ElasticSpectreEngine,
-)
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.spectre.engine import (
     RunStats,
     SpectreEngine,
@@ -33,10 +26,7 @@ __all__ = [
     "SpectreResult",
     "RunStats",
     "ThreadedSpectreEngine",
-    "ApproximateSpectreEngine",
-    "ApproximateResult",
     "EarlyEmission",
-    "ElasticSpectreEngine",
     "ElasticityPolicy",
     "MarkovPredictor",
     "FixedPredictor",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.utils.validation import require
 
 
@@ -88,10 +89,21 @@ class SpectreConfig:
     max_versions:
         Hard cap on simultaneously maintained window versions (memory
         guard; the paper observed natural peaks of ~6.7k at k=32).
-    workers:
-        Default process count of the *sharded* runtime
-        (:class:`repro.runtime.sharding.ShardedSpectreEngine`); 1 runs
-        the shards in-process.  Ignored by every other engine.
+    elasticity:
+        An :class:`~repro.spectre.elasticity.ElasticityPolicy`, or
+        ``None`` (static k).  When set, the instance pool starts at
+        ``k`` (at most the policy's ``max_k``) and is re-sized from the
+        observed completion probability every ``policy.period`` cycles
+        (Sec. 4.2.1); the decisions land in ``engine.adaptations``.
+    emission_threshold:
+        Survival probability in (0, 1] at which a speculative version's
+        buffered complex events are released early (the Sec. 5
+        extension), or ``None`` (consistent output only).  Releases land
+        in ``engine.early`` and ``SpectreResult.early``; the final
+        output is unchanged.
+
+    Both policy fields drive the virtual-time engine only; the threaded
+    runtime refuses a config that sets either.
     """
 
     k: int = 1
@@ -103,13 +115,13 @@ class SpectreConfig:
     markov: MarkovParams = field(default_factory=MarkovParams)
     admission_factor: float = 2.0
     max_versions: int = 20_000
-    workers: int = 1
     costs: CostModel = field(default_factory=CostModel)
     collect_transition_stats: bool = True
+    elasticity: ElasticityPolicy | None = None
+    emission_threshold: float | None = None
 
     def __post_init__(self) -> None:
         require(self.k >= 1, "k must be >= 1")
-        require(self.workers >= 1, "workers must be >= 1")
         require(self.steps_per_cycle >= 1, "steps_per_cycle must be >= 1")
         require(self.consistency_check_freq >= 1,
                 "consistency_check_freq must be >= 1")
@@ -122,8 +134,17 @@ class SpectreConfig:
                 "fixed_probability must be in [0, 1]")
         require(self.admission_factor > 0, "admission_factor must be > 0")
         require(self.max_versions >= 4, "max_versions must be >= 4")
+        if self.elasticity is not None:
+            require(isinstance(self.elasticity, ElasticityPolicy),
+                    "elasticity must be an ElasticityPolicy")
+            require(self.k <= self.elasticity.max_k,
+                    "k must be <= elasticity.max_k")
+        require(self.emission_threshold is None
+                or 0.0 < self.emission_threshold <= 1.0,
+                "emission_threshold must be in (0, 1]")
 
-    @property
-    def admission_target(self) -> int:
-        """Schedulable-version pool size the splitter aims for."""
-        return max(2, int(round(self.admission_factor * self.k)) + 1)
+    def admission_target(self, k: int) -> int:
+        """Schedulable-version pool size the splitter aims for at
+        parallelization degree ``k`` (the live pool size, which
+        elasticity moves away from ``self.k``)."""
+        return max(2, int(round(self.admission_factor * k)) + 1)

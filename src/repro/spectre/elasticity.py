@@ -8,22 +8,20 @@
     operator instances based on the current pattern completion
     probability."
 
-This module implements that adaptation: a controller observes the running
-completion probability (resolved groups so far) and periodically re-sizes
-the engine's instance pool.  Near the probability extremes (≈0 or ≈1)
-speculation is almost always right and extra instances pay off, so the
-controller grants the full budget; in the mid-probability band the
-throughput curves plateau around k≈8, so capping k there frees cores
-without losing throughput.
+This module holds that adaptation's policy.  With
+``SpectreConfig(elasticity=ElasticityPolicy(...))`` the engine observes
+the running completion probability (resolved groups so far) and
+periodically re-sizes its instance pool, starting from ``config.k``.
+Near the probability extremes (≈0 or ≈1) speculation is almost always
+right and extra instances pay off, so the controller grants the full
+budget; in the mid-probability band the throughput curves plateau
+around k≈8, so capping k there frees cores without losing throughput.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.patterns.query import Query
-from repro.spectre.config import SpectreConfig
-from repro.spectre.engine import SpectreEngine
 from repro.utils.validation import require
 
 
@@ -65,42 +63,3 @@ class AdaptationRecord:
     cycle: int
     completion_probability: float
     k: int
-
-
-class ElasticSpectreEngine(SpectreEngine):
-    """SPECTRE whose instance count follows an :class:`ElasticityPolicy`.
-
-    The engine starts at ``policy.plateau_k`` (the conservative choice)
-    and re-evaluates every ``policy.period`` cycles.  Given a ``config``
-    but no ``policy``, ``config.k`` is the resource budget: the policy
-    may shrink the instance count but never exceed what the user
-    granted.
-    """
-
-    def __init__(self, query: Query, policy: ElasticityPolicy | None = None,
-                 config: SpectreConfig | None = None,
-                 scheduler=None) -> None:
-        if policy is None and config is not None:
-            policy = ElasticityPolicy(max_k=config.k,
-                                      plateau_k=min(8, config.k))
-        self.policy = policy or ElasticityPolicy()
-        config = config or SpectreConfig(k=self.policy.plateau_k)
-        super().__init__(query, config, scheduler=scheduler)
-        self.adaptations: list[AdaptationRecord] = []
-
-    def splitter_cycle(self) -> None:
-        super().splitter_cycle()
-        if self.stats.cycles % self.policy.period != 0:
-            return
-        resolved = self.stats.groups_completed + self.stats.groups_abandoned
-        if resolved < self.policy.min_resolved:
-            return
-        probability = self.stats.completion_probability
-        recommended = self.policy.recommend(probability)
-        if recommended != self.k:
-            self.set_k(recommended)
-            self.adaptations.append(AdaptationRecord(
-                cycle=self.stats.cycles,
-                completion_probability=probability,
-                k=recommended,
-            ))

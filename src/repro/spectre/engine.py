@@ -18,7 +18,11 @@ dedicated cores, Sec. 2.2):
 
 The engine itself keeps only *policy*: the virtual cost model, the
 Fig. 8 instance loop (suppression, detector feedback, consistency checks
-with rollback), completion-probability pricing, and statistics.
+with rollback), completion-probability pricing, statistics, and the two
+optional policies its config may name — completion-probability
+elasticity (``SpectreConfig.elasticity``, Sec. 4.2.1) and approximate
+early emission (``SpectreConfig.emission_threshold``, Sec. 5), run at
+the end of each splitter cycle.
 
 Because instances only see group mutations made by *other* versions with
 a one-cycle delay, the consistency-check/rollback machinery is genuinely
@@ -47,7 +51,9 @@ from repro.runtime.forest import Forest
 from repro.runtime.instances import InstancePool
 from repro.runtime.oplog import OpLog
 from repro.runtime.scheduler import Scheduler, make_scheduler
+from repro.spectre.approximate import EarlyEmission, survival_probability
 from repro.spectre.config import SpectreConfig
+from repro.spectre.elasticity import AdaptationRecord, ElasticityPolicy
 from repro.spectre.prediction import (
     CompletionPredictor,
     FixedPredictor,
@@ -128,6 +134,8 @@ class SpectreResult:
     virtual_time: float
     stats: RunStats
     config: SpectreConfig
+    # the speculative stream released under config.emission_threshold
+    early: list[EarlyEmission] = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -138,6 +146,25 @@ class SpectreResult:
 
     def identities(self) -> list[tuple]:
         return [ce.identity() for ce in self.complex_events]
+
+    def _early_identities(self) -> set[tuple]:
+        return {emission.complex_event.identity() for emission in self.early}
+
+    @property
+    def precision(self) -> float:
+        """Share of early emissions confirmed by the final output."""
+        early = self._early_identities()
+        if not early:
+            return 1.0
+        return len(early & set(self.identities())) / len(early)
+
+    @property
+    def recall(self) -> float:
+        """Share of final complex events that were available early."""
+        final = set(self.identities())
+        if not final:
+            return 1.0
+        return len(self._early_identities() & final) / len(final)
 
 
 class SpectreEngine:
@@ -185,6 +212,10 @@ class SpectreEngine:
         self._consumes = query.consumes
         self._last_progress_cycle = 0
         self._admitted_at: dict[int, float] = {}
+        # the config's policies: elasticity decisions, early emissions
+        self.adaptations: list[AdaptationRecord] = []
+        self.early: list[EarlyEmission] = []
+        self._released: set[tuple] = set()
 
     # ------------------------------------------------------------------
     # setup
@@ -282,6 +313,7 @@ class SpectreEngine:
             virtual_time=self.virtual_time,
             stats=self.stats,
             config=self.config,
+            early=self.early,
         )
 
     def open(self, *, eager: bool = True, gc: bool | None = None,
@@ -308,7 +340,8 @@ class SpectreEngine:
     # ------------------------------------------------------------------
 
     def splitter_cycle(self) -> None:
-        """Maintenance + scheduling: one full splitter cycle."""
+        """Maintenance + scheduling: one full splitter cycle, then the
+        config's policies (elasticity, early emission) when set."""
         self.oplog.apply_all(self.forest, self)
         self._emit_ready()
         self._admit_windows()
@@ -316,6 +349,49 @@ class SpectreEngine:
         size = self.forest.version_count
         if size > self.stats.max_tree_size:
             self.stats.max_tree_size = size
+        config = self.config
+        if config.elasticity is not None:
+            self._adapt(config.elasticity)
+        if config.emission_threshold is not None:
+            self._release_early(config.emission_threshold)
+
+    def _adapt(self, policy: ElasticityPolicy) -> None:
+        """Every ``policy.period`` cycles, once enough groups resolved,
+        re-size the pool to the policy's recommendation."""
+        stats = self.stats
+        if stats.cycles % policy.period != 0:
+            return
+        if stats.groups_completed + stats.groups_abandoned \
+                < policy.min_resolved:
+            return
+        probability = stats.completion_probability
+        recommended = policy.recommend(probability)
+        if recommended != self.k:
+            self.set_k(recommended)
+            self.adaptations.append(AdaptationRecord(
+                cycle=stats.cycles, completion_probability=probability,
+                k=recommended))
+
+    def _release_early(self, threshold: float) -> None:
+        """Release the buffered complex events of every live version
+        whose survival probability reaches ``threshold`` — each pattern
+        instance at most once."""
+        for version in self.forest.iter_versions():
+            if not version.alive or not version.buffered:
+                continue
+            probability = survival_probability(version,
+                                               self._group_probability)
+            if probability < threshold:
+                continue
+            for complex_event in version.buffered:
+                identity = complex_event.identity()
+                if identity in self._released:
+                    continue
+                self._released.add(identity)
+                self.early.append(EarlyEmission(
+                    complex_event=complex_event,
+                    survival_probability=probability,
+                    cycle=self.stats.cycles))
 
     # -- op-log hooks (RuntimeHooks protocol) ---------------------------
 
@@ -396,12 +472,8 @@ class SpectreEngine:
             raise ValueError("k must be >= 1")
         self.pool.set_k(new_k)
 
-    def _admission_target(self) -> int:
-        """Schedulable-version pool size the splitter aims for."""
-        return max(2, int(round(self.config.admission_factor * self.k)) + 1)
-
     def _admit_windows(self) -> None:
-        target = self._admission_target()
+        target = self.config.admission_target(self.pool.k)
         while self._pending:
             if self.forest and (self._unfinished >= target
                                 or self.forest.version_count

@@ -34,6 +34,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.spectre.config import SpectreConfig
 from repro.spectre.engine import SpectreEngine, SpectreSession
 from repro.spectre.prediction import CompletionPredictor
+from repro.utils.validation import require
 
 
 class LockedPredictor:
@@ -69,6 +70,10 @@ class ThreadedSpectreEngine(SpectreEngine):
                  predictor: CompletionPredictor | None = None,
                  scheduler: Scheduler | None = None) -> None:
         super().__init__(query, config, predictor, scheduler)
+        require(self.config.elasticity is None
+                and self.config.emission_threshold is None,
+                "the threaded engine runs neither elasticity nor early "
+                "emission; use the spectre engine")
         self.predictor = LockedPredictor(self.predictor)
         self._counter_lock = threading.Lock()
         self._stop = threading.Event()

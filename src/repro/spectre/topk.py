@@ -27,13 +27,15 @@ from repro.spectre.version import WindowVersion
 GroupProbability = Callable[[ConsumptionGroup], float]
 
 
-def _resolved_probability(group: ConsumptionGroup) -> float | None:
-    """Resolved groups have certain outcomes (pruning may lag by a cycle)."""
+def completion_probability(group: ConsumptionGroup,
+                           group_probability: GroupProbability) -> float:
+    """Resolved groups have certain outcomes (pruning may lag by a
+    cycle); open ones are priced by ``group_probability``."""
     if group.state is GroupState.COMPLETED:
         return 1.0
     if group.state is GroupState.ABANDONED:
         return 0.0
-    return None
+    return group_probability(group)
 
 
 def find_top_k(trees: Iterable[DependencyTree], k: int,
@@ -67,9 +69,8 @@ def find_top_k(trees: Iterable[DependencyTree], k: int,
             push(vertex.child, probability)
         else:
             assert isinstance(vertex, GroupVertex)
-            certain = _resolved_probability(vertex.group)
-            complete_p = certain if certain is not None else \
-                group_probability(vertex.group)
+            complete_p = completion_probability(vertex.group,
+                                                group_probability)
             push(vertex.completion_child, probability * complete_p)
             push(vertex.abandon_child, probability * (1.0 - complete_p))
     return result

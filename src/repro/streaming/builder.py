@@ -64,15 +64,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One row of :data:`ENGINES`: where the engine class lives and what
-    its constructor takes besides the query."""
+    """One row of :data:`ENGINES`: where the engine class lives and
+    whether its constructor takes a config besides the query."""
 
     # "module:Class", imported on first use — the engine modules import
     # repro.streaming for the session base, so importing them from here
     # at module level would be circular
     target: str
     takes_config: bool = True     # a SpectreConfig (k=, scheduler=, ...)
-    extra: Optional[str] = None   # its one engine-specific keyword
 
     def load(self):
         module, _, attribute = self.target.partition(":")
@@ -85,13 +84,6 @@ ENGINES = {
     "trex": EngineSpec("repro.trex.engine:TRexEngine", takes_config=False),
     "spectre": EngineSpec("repro.spectre.engine:SpectreEngine"),
     "threaded": EngineSpec("repro.spectre.threaded:ThreadedSpectreEngine"),
-    "elastic": EngineSpec("repro.spectre.elasticity:ElasticSpectreEngine",
-                          extra="policy"),
-    "approximate": EngineSpec(
-        "repro.spectre.approximate:ApproximateSpectreEngine",
-        extra="emission_threshold"),
-    "sharded": EngineSpec("repro.runtime.sharding:ShardedSpectreEngine",
-                          extra="workers"),
 }
 
 
@@ -106,25 +98,15 @@ def engine_spec(name: str) -> EngineSpec:
 
 
 def build_engine(query: Query, name: str = "spectre", *,
-                 config=None, policy=None, emission_threshold=None,
-                 workers=None, **config_options):
+                 config=None, **config_options):
     """Instantiate the :data:`ENGINES` entry ``name``.
 
     ``config_options`` are :class:`~repro.spectre.config.SpectreConfig`
-    fields (``k=4, scheduler="fifo", workers=2, ...``); alternatively
-    pass a ready ``config=`` (engines that take none ignore both).
-    The remaining keywords each belong to the one engine whose row
-    names them as ``extra`` and are refused everywhere else:
-    ``policy`` (elastic; without one, ``k`` is the resource budget),
-    ``emission_threshold`` (approximate), ``workers`` (sharded: the
-    process count, overriding the config field).
+    fields (``k=4, scheduler="fifo", elasticity=ElasticityPolicy(),
+    emission_threshold=0.9, ...``); alternatively pass a ready
+    ``config=`` (engines that take none ignore both).
     """
     spec = engine_spec(name)
-    given = {"policy": policy, "emission_threshold": emission_threshold,
-             "workers": workers}
-    for keyword, value in given.items():
-        require(value is None or keyword == spec.extra,
-                f"{keyword}= does not apply to the {name} engine")
     factory = spec.load()
     if not spec.takes_config:
         return factory(query)
@@ -133,9 +115,7 @@ def build_engine(query: Query, name: str = "spectre", *,
                                 "SpectreConfig field overrides, not both")
         from repro.spectre.config import SpectreConfig
         config = SpectreConfig(**config_options)
-    extra = {} if spec.extra is None or given[spec.extra] is None \
-        else {spec.extra: given[spec.extra]}
-    return factory(query, config=config, **extra)
+    return factory(query, config=config)
 
 
 class PipelineSession(Session):
@@ -228,8 +208,8 @@ class Pipeline:
 
     def engine(self, name: str = "spectre", **options) -> "Pipeline":
         """Choose the runtime: any :data:`ENGINES` name plus
-        engine/config options (``k=``, ``scheduler=``, ``workers=``,
-        ``config=``, ``policy=``, ``emission_threshold=``)."""
+        config options (``config=``, or ``SpectreConfig`` fields such
+        as ``k=``, ``scheduler=``, ``elasticity=``)."""
         engine_spec(name)
         self._engine_name = name
         self._engine_options = options

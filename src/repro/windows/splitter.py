@@ -204,7 +204,7 @@ class Splitter:
 
     def split_all(self, events) -> list[Window]:
         """Convenience: ingest an entire finite stream and return all
-        windows (the static shard planner's one-shot pass)."""
+        windows in one pass."""
         self.ingest_many(events if isinstance(events, (list, tuple))
                          else list(events))
         self.finish()

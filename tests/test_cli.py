@@ -145,19 +145,16 @@ CONSUME (A B)
 
 
 class TestEngineAndSchedulerFlags:
-    @pytest.mark.parametrize("engine", ["elastic", "approximate"])
-    def test_run_engine_variants(self, query_file, walk_csv, capsys,
-                                 engine):
-        code = main(["run", "--query", query_file, "--data", walk_csv,
-                     "--engine", engine, "--k", "2",
-                     "--param", "lowerLimit=40",
-                     "--param", "upperLimit=60"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "complex events" in out
-        marker = "adaptations" if engine == "elastic" else \
-            "early_emissions"
-        assert marker in out
+    @pytest.mark.parametrize("engine", ["elastic", "approximate",
+                                        "sharded"])
+    def test_removed_engine_names_are_refused(self, query_file, walk_csv,
+                                              engine):
+        """Elasticity and early emission are ``SpectreConfig`` fields of
+        the one speculative engine, not engines; the sharded runtime is
+        gone."""
+        with pytest.raises(SystemExit):
+            main(["run", "--query", query_file, "--data", walk_csv,
+                  "--engine", engine])
 
     @pytest.mark.parametrize("scheduler", ["topk", "fifo", "roundrobin"])
     def test_verify_under_every_scheduler(self, query_file, walk_csv,
@@ -171,11 +168,11 @@ class TestEngineAndSchedulerFlags:
 
     def test_verify_engine_variant(self, query_file, walk_csv, capsys):
         code = main(["verify", "--query", query_file, "--data", walk_csv,
-                     "--engine", "elastic", "--k", "2",
+                     "--engine", "threaded", "--k", "2",
                      "--param", "lowerLimit=40",
                      "--param", "upperLimit=60"])
         assert code == 0
-        assert "ELASTIC" in capsys.readouterr().out
+        assert "THREADED" in capsys.readouterr().out
 
     def test_unknown_scheduler_rejected(self, query_file, walk_csv):
         with pytest.raises(SystemExit):
@@ -185,60 +182,12 @@ class TestEngineAndSchedulerFlags:
 
 @pytest.fixture
 def tumbling_query_file(tmp_path):
-    """Tumbling-window variant of the band query: windows never overlap,
-    so the sharded engine actually splits the stream."""
+    """Tumbling-window variant of the band query: windows never
+    overlap."""
     path = tmp_path / "tumble.sql"
     path.write_text(QUERY_TEXT.replace("WITHIN 200 events FROM every 50",
                                        "WITHIN 50 events FROM every 50"))
     return str(path)
-
-
-class TestShardedEngine:
-    def test_run_reports_shards_and_workers(self, tumbling_query_file,
-                                            walk_csv, capsys):
-        code = main(["run", "--query", tumbling_query_file,
-                     "--data", walk_csv, "--engine", "sharded",
-                     "--workers", "2", "--k", "2",
-                     "--param", "lowerLimit=40",
-                     "--param", "upperLimit=60"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shards=" in out
-        assert "workers=2" in out
-
-    def test_verify_sharded(self, tumbling_query_file, walk_csv, capsys):
-        code = main(["verify", "--query", tumbling_query_file,
-                     "--data", walk_csv, "--engine", "sharded",
-                     "--workers", "2", "--k", "2",
-                     "--param", "lowerLimit=40",
-                     "--param", "upperLimit=60"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "OK" in out
-        assert "SHARDED" in out
-
-    def test_verify_sharded_single_shard_query(self, query_file,
-                                               walk_csv, capsys):
-        """Chained windows degrade to one in-process shard but must
-        still verify."""
-        code = main(["verify", "--query", query_file, "--data", walk_csv,
-                     "--engine", "sharded", "--workers", "2", "--k", "2",
-                     "--param", "lowerLimit=40",
-                     "--param", "upperLimit=60"])
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_graph_sharded_pipeline(self, tumbling_query_file,
-                                    pairs_query_file, walk_csv, capsys):
-        code = main(["graph", "--data", walk_csv,
-                     "--stage", f"band={tumbling_query_file}",
-                     "--stage", f"bandpairs={pairs_query_file}",
-                     "--engine", "sharded", "--workers", "2", "--k", "2",
-                     "--verify",
-                     "--param", "lowerLimit=40",
-                     "--param", "upperLimit=60"])
-        assert code == 0
-        assert "OK: pipeline output identical" in capsys.readouterr().out
 
 
 class TestServeCommand:

@@ -21,6 +21,7 @@ from repro import SpectreConfig
 from repro.datasets import generate_nyse
 from repro.datasets.nyse import leading_symbols
 from repro.durability import DurableHub
+from repro.durability.journal import attach_from_record
 from repro.durability.wal import (
     WalWriter,
     read_snapshot,
@@ -471,3 +472,32 @@ def test_unrestorable_tail_attach_is_listed_as_skipped(tmp_path):
     hub.close()
     assert hub.cursor("good1") == hub.cursor("good2") == \
         len(reference["good1"])
+
+
+@pytest.mark.parametrize("removed", ["sharded", "elastic", "approximate"])
+def test_tail_attach_of_a_removed_engine_name_is_skipped(tmp_path, removed):
+    """A WAL written while these were engines: the attach record meets
+    the registry's one ``unknown engine`` error, which recovery reports
+    as a skipped attachment — no half-built attachment is left."""
+    record = {"t": "attach", "name": "old", "query": BAND_TEXT,
+              "params": [[k, v] for k, v in PARAMS.items()],
+              "engine": removed, "options": {"k": 2}, "durable": True,
+              "pos": 0}
+    writer = WalWriter(segment_path(tmp_path, 1), "never")
+    for entry in ({"t": "meta", "segment": 1, "hub": {}}, record,
+                  {"t": "push",
+                   "events": [pack_event(e) for e in EVENTS[:50]]}):
+        writer.append(entry)
+    writer.close()
+
+    hub = DurableHub(tmp_path, checkpoint_every=10**9)
+    assert hub.recovery_report.skipped_attachments == ["old"]
+    assert hub.recovery_report.replayed_events == 50
+    assert hub.attachments == ()
+    with pytest.raises(ValueError, match=f"unknown engine '{removed}'"):
+        attach_from_record(hub, record)
+    assert hub.attachments == ()
+    # nothing of the refused attachment holds its name
+    attach_from_record(hub, dict(record, engine="sequential"))
+    assert [a.name for a in hub.attachments] == ["old"]
+    hub.close()

@@ -5,11 +5,9 @@ import pytest
 from repro.datasets import generate_nyse, leading_symbols
 from repro.queries import make_q1
 from repro.spectre import SpectreConfig, SpectreEngine
-from repro.spectre.elasticity import (
-    ElasticityPolicy,
-    ElasticSpectreEngine,
-)
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.streaming.builder import pipeline
+from tests.helpers import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +64,12 @@ class TestSetK:
             engine.set_k(0)
 
 
+def elastic(query, policy):
+    """The engine the removed subclass built: it starts at the plateau."""
+    return SpectreEngine(query, SpectreConfig(k=policy.plateau_k,
+                                              elasticity=policy))
+
+
 class TestElasticEngine:
     def test_high_probability_scales_up(self, nyse):
         # q=8: completion probability ~100% -> full budget expected
@@ -73,7 +77,7 @@ class TestElasticEngine:
                         leading_symbols=leading_symbols(2))
         policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
                                   min_resolved=5)
-        engine = ElasticSpectreEngine(query, policy)
+        engine = elastic(query, policy)
         expected = pipeline(query).engine("sequential").run(nyse).identities()
         result = engine.run(nyse)
         assert result.identities() == expected
@@ -90,13 +94,72 @@ class TestElasticEngine:
             pytest.skip(f"dataset gives p={truth:.2f}, outside mid band")
         policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
                                   min_resolved=5)
-        engine = ElasticSpectreEngine(query, policy)
-        result = engine.run(nyse)
+        engine = elastic(query, policy)
+        engine.run(nyse)
         assert engine.k == 4
 
     def test_wrapper_correct(self, nyse):
         query = make_q1(q=8, window_size=400,
                         leading_symbols=leading_symbols(2))
         expected = pipeline(query).engine("sequential").run(nyse).identities()
-        result = pipeline(query).engine("elastic").run(nyse)
+        result = pipeline(query).engine(
+            "spectre", elasticity=ElasticityPolicy()).run(nyse)
         assert result.identities() == expected
+
+    def test_static_config_adapts_nothing(self, nyse):
+        query = make_q1(q=8, window_size=400,
+                        leading_symbols=leading_symbols(2))
+        engine = SpectreEngine(query, SpectreConfig(k=4))
+        engine.run(nyse)
+        assert engine.k == 4 and engine.adaptations == []
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="max_k"):
+            SpectreConfig(k=8, elasticity=ElasticityPolicy(max_k=4,
+                                                           plateau_k=2))
+        with pytest.raises(ValueError, match="ElasticityPolicy"):
+            SpectreConfig(elasticity={"max_k": 4})
+
+    @pytest.mark.parametrize("value", ["topk", 16, (16, 4),
+                                       ElasticityPolicy])
+    def test_config_refuses_a_non_policy(self, value):
+        with pytest.raises(ValueError, match="ElasticityPolicy"):
+            SpectreConfig(elasticity=value)
+
+    @pytest.mark.parametrize("scheduler", ["topk", "fifo", "roundrobin"])
+    def test_every_scheduler_adapts_and_stays_correct(self, nyse,
+                                                      scheduler):
+        """The adaptation step runs in the splitter cycle whichever
+        strategy picks the versions; the output stays sequential."""
+        query = make_q1(q=8, window_size=400,
+                        leading_symbols=leading_symbols(2))
+        policy = ElasticityPolicy(max_k=16, plateau_k=4, period=50,
+                                  min_resolved=5)
+        engine = SpectreEngine(query, SpectreConfig(
+            k=4, scheduler=scheduler, elasticity=policy))
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
+        assert engine.run(nyse).identities() == expected
+        assert engine.adaptations
+        assert all(record.k in (policy.plateau_k, policy.max_k)
+                   for record in engine.adaptations)
+        assert engine.k == engine.adaptations[-1].k
+
+    # Recorded from the ElasticSpectreEngine subclass this config
+    # replaced: the same policy on the same events must reproduce its
+    # runs bit-for-bit.
+    @pytest.mark.parametrize("q, policy, pinned", [
+        (8, ElasticityPolicy(max_k=16, plateau_k=4, period=50,
+                             min_resolved=5),
+         ("4cb2b2f404454d85", 33, 1504.0, [(50, 1.0, 16)], 0)),
+        (110, ElasticityPolicy(max_k=16, plateau_k=4, period=50,
+                               min_resolved=5),
+         ("aa235e5c465eb0d4", 11, 3784.0,
+          [(250, 1.0, 16), (450, 0.6875, 4)], 0)),
+        (8, ElasticityPolicy(),
+         ("33e34653b4e17904", 33, 2032.0, [(200, 1.0, 32)], 0)),
+    ], ids=["q8", "q110", "q8-default-policy"])
+    def test_pinned_runs(self, nyse, q, policy, pinned):
+        query = make_q1(q=q, window_size=400,
+                        leading_symbols=leading_symbols(2))
+        engine = elastic(query, policy)
+        assert fingerprint(engine, engine.run(nyse)) == pinned

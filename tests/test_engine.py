@@ -106,7 +106,26 @@ class TestConfigValidation:
             CostModel(process=0.0)
 
     def test_admission_target(self):
-        assert SpectreConfig(k=4).admission_target >= 8
+        config = SpectreConfig(k=4)
+        assert config.admission_target(4) == 9
+        # elasticity moves the live pool away from config.k: the target
+        # follows the live size, not the configured one
+        assert config.admission_target(16) == 33
+        assert config.admission_target(1) == 3
+        assert SpectreConfig(k=4, admission_factor=0.1) \
+            .admission_target(4) == 2
+
+    @pytest.mark.parametrize("live_k", [1, 2, 4, 8])
+    def test_splitter_admits_up_to_the_live_target(self, live_k):
+        """After ``set_k`` the splitter fills the tree to the target of
+        the live pool size, not of the configured ``k``.  No event
+        matches, so every admitted window is one unfinished version."""
+        engine = SpectreEngine(ab_query(), SpectreConfig(k=2))
+        engine.prepare([make_event(i, "X") for i in range(400)])
+        engine.set_k(live_k)
+        engine.splitter_cycle()
+        assert engine.forest.version_count == \
+            engine.config.admission_target(live_k)
 
 
 class TestFixedProbabilityModel:

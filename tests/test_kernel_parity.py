@@ -35,20 +35,10 @@ from repro.patterns.predicates import (
     cross_compare,
     negate,
 )
-from repro.streaming.builder import build_engine
 from repro.windows import WindowSpec
+from tests.helpers import ENGINE_CASES, build_case
 
-ALL_ENGINES = ["sequential", "trex", "spectre", "threaded", "elastic",
-               "approximate", "sharded"]
-BUILD_OPTIONS = {
-    "sequential": {},
-    "trex": {},
-    "spectre": {"k": 3},
-    "threaded": {"k": 2},
-    "elastic": {"k": 4},
-    "approximate": {"k": 2},
-    "sharded": {"k": 2, "workers": 1},
-}
+ALL_ENGINES = list(ENGINE_CASES)
 
 
 def typed_atom(name, etype, mode, threshold, other=None):
@@ -121,10 +111,8 @@ query_specs = st.tuples(
 
 
 def assert_parity(name, spec, events):
-    compiled_engine = build_engine(build_query(spec, True), name,
-                                   **BUILD_OPTIONS[name])
-    interpreted_engine = build_engine(build_query(spec, False), name,
-                                      **BUILD_OPTIONS[name])
+    compiled_engine = build_case(build_query(spec, True), name)
+    interpreted_engine = build_case(build_query(spec, False), name)
     compiled_session = compiled_engine.open()
     interpreted_session = interpreted_engine.open()
     compiled_matches, interpreted_matches = [], []

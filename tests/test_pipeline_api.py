@@ -15,15 +15,14 @@ from repro.events import make_event
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
 from repro.sequential.engine import SequentialEngine
-from repro.spectre.approximate import ApproximateSpectreEngine
-from repro.spectre.elasticity import ElasticityPolicy, ElasticSpectreEngine
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.spectre.engine import SpectreEngine
 from repro.spectre.threaded import ThreadedSpectreEngine
-from repro.runtime.sharding import ShardedSpectreEngine
 from repro.streaming.builder import ENGINES, build_engine
 from repro.streaming.session import drive
 from repro.trex.engine import TRexEngine
 from repro.windows import WindowSpec
+from tests.helpers import ENGINE_CASES, build_case
 
 
 def abc_query(window=10, slide=5):
@@ -168,9 +167,6 @@ class TestFluentBuilder:
             ("trex", TRexEngine),
             ("spectre", SpectreEngine),
             ("threaded", ThreadedSpectreEngine),
-            ("elastic", ElasticSpectreEngine),
-            ("approximate", ApproximateSpectreEngine),
-            ("sharded", ShardedSpectreEngine),
         ]:
             assert type(build_engine(query, name, k=2)
                         if name not in ("sequential", "trex")
@@ -182,32 +178,20 @@ class TestFluentBuilder:
             pipeline(query).engine("quantum")
         with pytest.raises(ValueError, match="unknown engine"):
             build_engine(query, "quantum")
-        with pytest.raises(ValueError, match="policy="):
-            build_engine(query, "spectre", policy=ElasticityPolicy())
-        with pytest.raises(ValueError, match="emission_threshold="):
-            build_engine(query, "spectre", emission_threshold=0.5)
-        with pytest.raises(ValueError, match="workers="):
-            build_engine(query, "spectre", workers=2)
         with pytest.raises(ValueError, match="not both"):
             build_engine(query, "spectre", config=SpectreConfig(), k=2)
+        # every option is a SpectreConfig field; there are no others
+        for removed in ({"policy": ElasticityPolicy()}, {"workers": 2}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                build_engine(query, "spectre", **removed)
 
-    def test_elastic_policy_defaults(self):
-        query = abc_query()
-        # with a budget: policy honours k (the CLI behavior)
-        budgeted = build_engine(query, "elastic", k=4)
-        assert budgeted.policy.max_k == 4
-        # without options: the library default policy
-        default = build_engine(query, "elastic")
-        assert default.policy == ElasticityPolicy()
-
-    def test_approximate_threshold_is_wired(self):
-        engine = build_engine(abc_query(), "approximate", k=2,
+    def test_policy_fields_are_wired(self):
+        policy = ElasticityPolicy(max_k=4, plateau_k=2)
+        engine = build_engine(abc_query(), "spectre", k=2, elasticity=policy,
                               emission_threshold=0.42)
-        assert engine.emission_threshold == 0.42
-
-    def test_sharded_workers_override(self):
-        engine = build_engine(abc_query(), "sharded", k=2, workers=3)
-        assert engine.workers == 3
+        assert type(engine) is SpectreEngine
+        assert engine.config.elasticity is policy
+        assert engine.config.emission_threshold == 0.42
 
 
 class TestEngineRegistry:
@@ -215,30 +199,34 @@ class TestEngineRegistry:
     operator graph and the hub accept exactly its keys, and every entry
     keeps the sequential identities on a consuming query."""
 
-    @pytest.mark.parametrize("name", list(ENGINES))
+    @pytest.mark.parametrize("name", list(ENGINE_CASES))
     def test_every_entry_builds_opens_and_runs(self, name):
+        """Every row, and the speculative row under each policy field."""
         query, events = abc_query(), abc_stream(150)
         expected = SequentialEngine(query).run(events).identities()
         assert expected  # the workload produces (consuming) matches
-        engine = build_engine(query, name)
-        assert type(engine) is ENGINES[name].load()
+        engine_name, options = ENGINE_CASES[name]
+        engine = build_case(query, name)
+        assert type(engine) is ENGINES[engine_name].load()
         assert engine.run(events).identities() == expected
-        with build_engine(query, name).open() as session:
+        with build_case(query, name).open() as session:
             streamed = drive(session, events)
         assert [ce.identity() for ce in streamed] == expected
-        assert pipeline(query).engine(name).run(events).identities() == \
-            expected
+        assert pipeline(query).engine(engine_name, **options) \
+            .run(events).identities() == expected
 
-    @pytest.mark.parametrize("name", list(ENGINES))
+    @pytest.mark.parametrize("name", list(ENGINE_CASES))
     def test_graph_and_hub_accept_the_same_names(self, name):
         query, events = abc_query(), abc_stream(150)
         expected = SequentialEngine(query).run(events).identities()
-        operator = Operator("op", query, engine=name)
+        engine_name, options = ENGINE_CASES[name]
+        config = SpectreConfig(**options) if options else None
+        operator = Operator("op", query, engine=engine_name, config=config)
         operator.process(events)
         assert [ce.identity() for ce in
                 operator.last_report.complex_events] == expected
         with StreamHub() as hub:
-            attachment = hub.attach(query, engine=name)
+            attachment = hub.attach(query, engine=engine_name, **options)
             hub.push_many(events)
         assert [ce.identity() for ce in attachment] == expected
 
@@ -253,16 +241,47 @@ class TestEngineRegistry:
                 build()
             assert str(list(ENGINES)) in str(err.value)
 
-    @pytest.mark.parametrize("name", list(ENGINES))
-    def test_engine_specific_keywords_are_refused_elsewhere(self, name):
+    @pytest.mark.parametrize("field, value", [
+        ("elasticity", ElasticityPolicy(max_k=4, plateau_k=2)),
+        ("emission_threshold", 0.5)])
+    def test_threaded_refuses_the_policy_fields(self, field, value):
+        """The policies run in the virtual-time engine's splitter cycle
+        only; the threaded runtime says so instead of ignoring them."""
         query = abc_query()
-        values = {"policy": ElasticityPolicy(), "emission_threshold": 0.5,
-                  "workers": 2}
-        for keyword, value in values.items():
-            if keyword == ENGINES[name].extra:
-                build_engine(query, name, **{keyword: value})
-                continue
-            with pytest.raises(ValueError, match=f"{keyword}="):
-                build_engine(query, name, **{keyword: value})
-            with pytest.raises(ValueError, match=f"{keyword}="):
-                StreamHub().attach(query, engine=name, **{keyword: value})
+        for build in (
+                lambda: build_engine(query, "threaded", k=2,
+                                     **{field: value}),
+                lambda: StreamHub().attach(query, engine="threaded", k=2,
+                                           **{field: value})):
+            with pytest.raises(ValueError, match="threaded engine"):
+                build()
+
+    @pytest.mark.parametrize("name", ["sharded", "elastic", "approximate"])
+    @pytest.mark.parametrize("surface", ["build_engine", "pipeline",
+                                         "operator", "hub"])
+    def test_removed_engine_names_are_unknown(self, name, surface):
+        """The three names folded into ``SpectreConfig`` (or deleted)
+        are plain unknown names at every entry point."""
+        query = abc_query()
+        build = {
+            "build_engine": lambda: build_engine(query, name),
+            "pipeline": lambda: pipeline(query).engine(name),
+            "operator": lambda: Operator("op", query, engine=name),
+            "hub": lambda: StreamHub().attach(query, engine=name),
+        }[surface]
+        with pytest.raises(ValueError, match="unknown engine") as err:
+            build()
+        assert str(list(ENGINES)) in str(err.value)
+
+    @pytest.mark.parametrize("name", ["spectre", "threaded"])
+    @pytest.mark.parametrize("keyword, value", [
+        ("policy", ElasticityPolicy()), ("workers", 2)])
+    def test_engine_specific_keywords_are_refused_elsewhere(
+            self, name, keyword, value):
+        """The removed engine-specific keywords are no SpectreConfig
+        field, so every speculative engine refuses them."""
+        query = abc_query()
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build_engine(query, name, k=2, **{keyword: value})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            StreamHub().attach(query, engine=name, k=2, **{keyword: value})

@@ -160,6 +160,26 @@ def test_verify_detects_missing_and_extra(tmp_path):
     assert any(d["kind"] == "missing" for d in report.divergences)
 
 
+@pytest.mark.parametrize("removed", ["sharded", "elastic", "approximate"])
+def test_replay_of_a_removed_engine_name_is_the_unknown_engine_error(
+        tmp_path, removed):
+    """A log recorded while these were engines names one the registry
+    no longer has: replay stops with the registry's one error."""
+    path = tmp_path / "run.wal"
+    record_run(path)
+
+    def rename(records):
+        for record in records:
+            if record.get("t") == "attach" and record["name"] == "wide":
+                record["engine"] = removed
+        return records
+
+    _rewrite_log(path, rename)
+    with pytest.raises(ValueError,
+                       match=f"unknown engine '{removed}'; expected one of"):
+        replay_run(path)
+
+
 def test_replay_rejects_non_run_log(tmp_path):
     path = tmp_path / "not-a-run.wal"
     writer = WalWriter(path, "never")

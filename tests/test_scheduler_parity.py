@@ -18,9 +18,7 @@ from repro.events import make_event
 from repro.queries import make_q1, make_q2, make_qe
 from repro.runtime.scheduler import SCHEDULER_NAMES, make_scheduler
 from repro.spectre import (
-    ApproximateSpectreEngine,
     ElasticityPolicy,
-    ElasticSpectreEngine,
     SpectreConfig,
     SpectreEngine,
     ThreadedSpectreEngine,
@@ -94,9 +92,8 @@ class TestEngineVariantParity:
         expected = pipeline(query).engine("sequential").run(events)
         policy = ElasticityPolicy(max_k=8, plateau_k=2, period=50,
                                   min_resolved=10)
-        engine = ElasticSpectreEngine(
-            query, policy,
-            config=SpectreConfig(k=2, scheduler=strategy))
+        engine = SpectreEngine(query, SpectreConfig(
+            k=2, scheduler=strategy, elasticity=policy))
         assert engine.run(events).identities() == expected.identities()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -104,9 +101,8 @@ class TestEngineVariantParity:
                                       strategy):
         query, events = _queries(nyse, walk, qe_stream)["q2"]
         expected = pipeline(query).engine("sequential").run(events)
-        engine = ApproximateSpectreEngine(
-            query, SpectreConfig(k=4, scheduler=strategy),
-            emission_threshold=0.8)
+        engine = SpectreEngine(query, SpectreConfig(
+            k=4, scheduler=strategy, emission_threshold=0.8))
         assert engine.run(events).identities() == expected.identities()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)

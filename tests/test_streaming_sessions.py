@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.events import make_event
 from repro.patterns import Atom, ConsumptionPolicy, make_query
 from repro.patterns.ast import sequence
-from repro.runtime.sharding import plan_shards
 from repro.sequential.engine import SequentialEngine
 from repro.streaming import (
     Engine,
@@ -25,25 +24,14 @@ from repro.streaming import (
     SessionClosedError,
     SessionStateError,
 )
-from repro.streaming.builder import ENGINES, build_engine
+from repro.streaming.builder import ENGINES
 from repro.windows import WindowSpec
 from repro.windows.specs import EverySlide, TimeScope
+from tests.helpers import ENGINE_CASES, SPECULATIVE_CASES, build_case
 
-# every speculative engine in the registry, by its builder alias, plus
-# the two baselines — the whole public engine surface
-FACTORY_ALIASES = ["spectre", "threaded", "elastic", "approximate",
-                   "sharded"]
-ALL_ENGINES = ["sequential", "trex"] + FACTORY_ALIASES
-
-BUILD_OPTIONS = {
-    "sequential": {},
-    "trex": {},
-    "spectre": {"k": 3},
-    "threaded": {"k": 2},
-    "elastic": {"k": 4},
-    "approximate": {"k": 2},
-    "sharded": {"k": 2, "workers": 1},
-}
+# the whole public engine surface: every registry engine, the
+# speculative one also under each optional policy
+ALL_ENGINES = list(ENGINE_CASES)
 
 
 def abc_query(window: int, slide: int,
@@ -61,7 +49,7 @@ def abc_stream(n: int, seed: int = 7):
 
 
 def make_engine(name: str, query):
-    return build_engine(query, name, **BUILD_OPTIONS[name])
+    return build_case(query, name)
 
 
 def drive_eager(session: Session, events):
@@ -78,10 +66,9 @@ def drive_eager(session: Session, events):
 
 class TestFactoryRegistryCoverage:
     def test_every_factory_engine_is_exercised(self):
-        """The lists above must cover the ENGINES table exactly."""
-        assert set(ALL_ENGINES) == set(BUILD_OPTIONS) == set(ENGINES)
-        assert set(FACTORY_ALIASES) == {
-            name for name, spec in ENGINES.items() if spec.takes_config}
+        """The cases must cover the ENGINES table exactly."""
+        assert {engine for engine, _ in ENGINE_CASES.values()} == \
+            set(ENGINES)
 
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_engines_satisfy_the_protocol(self, name):
@@ -120,7 +107,7 @@ class TestSessionBatchParity:
         assert eager.consumed_seqs() == batch_session.consumed_seqs()
         assert eager.consumed_seqs()  # the workload does consume
 
-    @pytest.mark.parametrize("name", FACTORY_ALIASES)
+    @pytest.mark.parametrize("name", SPECULATIVE_CASES)
     def test_stats_window_counters_identical(self, name, events):
         query = abc_query(12, 4)
         batch = make_engine(name, query).run(events)
@@ -148,10 +135,10 @@ class TestIncrementalEmission:
     """Acceptance: at least one match is returned from a push() call
     *before* the final event, for every registry engine."""
 
-    @pytest.mark.parametrize("name", FACTORY_ALIASES)
+    @pytest.mark.parametrize("name", SPECULATIVE_CASES)
     def test_matches_surface_mid_stream(self, name):
-        # tumbling windows: every window closes (and for the sharded
-        # engine, seals a shard) long before the stream ends
+        # tumbling windows: every window closes long before the stream
+        # ends
         query = abc_query(6, 6)
         events = [make_event(i, "ABCX"[i % 4]) for i in range(160)]
         session = make_engine(name, query).open()
@@ -176,8 +163,7 @@ class TestBoundedBuffering:
     """Acceptance: the retired stream prefix is dropped on a long
     tumbling-window stream."""
 
-    @pytest.mark.parametrize("name",
-                             ["sequential", "trex", "spectre", "sharded"])
+    @pytest.mark.parametrize("name", ["sequential", "trex", "spectre"])
     def test_stream_prefix_is_trimmed(self, name):
         query = abc_query(10, 10)
         session = make_engine(name, query).open()
@@ -219,7 +205,7 @@ class TestLifecycleEdges:
     def events(self, n=120):
         return abc_stream(n, seed=29)
 
-    @pytest.mark.parametrize("name", ["sequential", "spectre", "sharded"])
+    @pytest.mark.parametrize("name", ["sequential", "spectre"])
     def test_mid_stream_flush_equals_batch_over_prefix(self, name):
         events = self.events()
         half = events[:60]
@@ -361,7 +347,7 @@ class TestRandomizedSessionParity:
     @settings(max_examples=12, deadline=None)
     @given(stream=streams,
            cut=st.integers(min_value=0, max_value=80),
-           name=st.sampled_from(["sequential", "spectre", "sharded"]))
+           name=st.sampled_from(["sequential", "spectre"]))
     def test_mid_stream_flush_parity(self, stream, cut, name):
         prefix = stream[:cut]
         query = abc_query(9, 3)
@@ -373,20 +359,6 @@ class TestRandomizedSessionParity:
         batch = make_engine(name, query).run(prefix)
         assert [ce.identity() for ce in matches] == batch.identities()
         session.close()
-
-    @settings(max_examples=8, deadline=None)
-    @given(stream=streams, workers=st.sampled_from([1, 2]))
-    def test_sharded_streaming_matches_forked_batch(self, stream, workers):
-        query = abc_query(5, 5)  # tumbling: every window its own shard
-        batch = build_engine(query, "sharded", k=2,
-                             workers=workers).run(stream)
-        session = build_engine(query, "sharded", k=2,
-                               workers=workers).open()
-        matches, _ = drive_eager(session, stream)
-        assert [ce.identity() for ce in matches] == batch.identities()
-        result = session.result()
-        assert result.stats.windows_total == batch.stats.windows_total
-        assert result.virtual_time == batch.virtual_time
 
 
 # -- batch-first ingestion: push_many ≡ push ≡ run ---------------------------
@@ -485,34 +457,3 @@ class TestBatchIngestParity:
                 batch.stats.window_latencies
             assert result.virtual_time == batch.virtual_time
             assert result.input_events == batch.input_events
-
-    @settings(max_examples=30, deadline=None)
-    @given(stream=streams,
-           sizes=st.lists(st.integers(1, 17), min_size=1, max_size=5),
-           spec=st.sampled_from([
-               WindowSpec.count_sliding(4, 4),
-               WindowSpec(start=EverySlide(4), scope=TimeScope(2.0)),
-               WindowSpec.count_on(3, lambda e: e.etype == "A"),
-               WindowSpec.time_on(2.0, lambda e: e.etype == "A")]))
-    def test_sharded_cuts_do_not_depend_on_chunking(self, stream, sizes,
-                                                    spec):
-        """The eager sharded session replays a batch's closes and opens
-        in stream order, so it seals the static plan's shards however
-        the feed is chunked."""
-        pattern = sequence(Atom("A", etype="A"), Atom("B", etype="B"))
-        query = make_query("ab", pattern, spec,
-                           consumption=ConsumptionPolicy.all())
-        per_event = make_engine("sharded", query).open()
-        expected = [m for event in stream for m in per_event.push(event)]
-        expected += per_event.flush()
-
-        session = make_engine("sharded", query).open()
-        matches = []
-        for chunk in chunked(stream, sizes):
-            matches += session.push_many(chunk)
-        matches += session.flush()
-
-        assert session.shards == per_event.shards
-        assert session.shards == list(plan_shards(spec, stream).shards)
-        assert [ce.identity() for ce in matches] == \
-            [ce.identity() for ce in expected]

@@ -25,9 +25,9 @@ from repro.patterns.parser import parse_query
 from repro.queries import make_q1
 from repro.server.core import SLOW_CONSUMER_POLICIES
 from repro.streaming import Session
-from repro.streaming.builder import ENGINES
 from repro.streaming.session import WindowedSession
 from repro.windows import Splitter
+from tests.helpers import ENGINE_CASES
 from tests.test_streaming_sessions import (
     WINDOW_SPECS,
     abc_query,
@@ -50,7 +50,7 @@ sizes = st.lists(st.integers(1, 17), min_size=1, max_size=5)
 
 # -- time progress does not depend on garbage collection ---------------------
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
 def test_watermark_is_the_same_with_gc_on_and_off(name):
     """Regression: "live" used to be spelled "not yet retired", so a
     ``gc=False`` session's watermark stayed at its first window."""
@@ -66,8 +66,7 @@ def test_watermark_is_the_same_with_gc_on_and_off(name):
         assert keeping.earliest_live_start() == \
             collecting.earliest_live_start()
     assert keeping.splitter.stream.offset == 0  # gc=False kept everything
-    if name != "sharded":  # one overlapping chain: a single open shard
-        assert keeping.watermark == 188.0
+    assert keeping.watermark == 188.0
     collecting.close()
     keeping.close()
 
@@ -122,12 +121,24 @@ def test_earliest_live_start_is_the_brute_force_minimum(
 
 
 def test_sessions_that_window_nothing_have_no_live_window():
-    lazy_sharded = make_engine("sharded", abc_query(10, 5)).open(eager=False)
-    assert not isinstance(lazy_sharded, WindowedSession)
-    assert lazy_sharded.earliest_live_start() is None
-    assert lazy_sharded.watermark == float("-inf")
-    lazy_sharded.push(make_event(0, "A", 3.0))
-    assert lazy_sharded.watermark == 3.0
+    class Windowless(Session):
+        def _ingest_many(self, events):
+            pass
+
+        def _drain(self):
+            return []
+
+        def _finish(self):
+            pass
+
+        def result(self):
+            return None
+
+    session = Windowless()
+    assert session.earliest_live_start() is None
+    assert session.watermark == float("-inf")
+    session.push(make_event(0, "A", 3.0))
+    assert session.watermark == 3.0
 
 
 def test_pipeline_session_and_hub_read_the_scaffold():
@@ -234,11 +245,10 @@ def _enclosing_functions(tree):
 
 def test_only_the_scaffold_builds_an_engine_sessions_splitter():
     """``Splitter(...)`` is constructed by the windows package, the
-    session scaffold, the hub's ``SharedGroup`` and the static
-    ``plan_shards`` — no engine or session module."""
+    session scaffold and the hub's ``SharedGroup`` — no engine or
+    session module."""
     allowed = {("streaming/session.py", "__init__"),
-               ("hub/optimizer.py", "admit"),
-               ("runtime/sharding.py", "plan_shards")}
+               ("hub/optimizer.py", "admit")}
     offenders = [
         f"{module}:{node.lineno} in {function}"
         for module, tree in _modules() if not module.startswith("windows/")

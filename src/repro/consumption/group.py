@@ -92,7 +92,9 @@ class ConsumptionGroup:
         return seq in self._event_seqs
 
     def overlaps_seqs(self, seqs: Iterable[int]) -> bool:
-        return any(seq in self._event_seqs for seq in seqs)
+        """Does any of ``seqs`` sit in the group?  (No copy of the set,
+        unlike :attr:`event_seqs`.)"""
+        return not self._event_seqs.isdisjoint(seqs)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -76,12 +76,13 @@ class Feedback:
         return not (self.created or self.added or self.completed
                     or self.abandoned)
 
-    def merge(self, other: "Feedback") -> None:
-        """Fold ``other`` into this feedback (used by close cascades)."""
-        self.created.extend(other.created)
-        self.added.extend(other.added)
-        self.completed.extend(other.completed)
-        self.abandoned.extend(other.abandoned)
+
+# The one shared "nothing happened" feedback.  Skip-till-next-match
+# means most process() calls change nothing; every shipped detector
+# returns this instead of allocating, and engines skip it by identity.
+# Its fields are tuples, so an accidental ``.append`` raises rather than
+# leaking into every later step.
+EMPTY_FEEDBACK = Feedback((), (), (), ())
 
 
 class Detector(abc.ABC):

@@ -40,7 +40,8 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional
 
 from repro.events.event import Event
-from repro.matching.base import Completion, Detector, Feedback, PartialMatch
+from repro.matching.base import (
+    EMPTY_FEEDBACK, Completion, Detector, Feedback, PartialMatch)
 from repro.matching.kernel import (
     KIND_ATOM,
     KIND_KLEENE,
@@ -62,13 +63,6 @@ __all__ = [
 ]
 
 DeriveFn = Callable[[Mapping[str, Any]], Mapping[str, Any]]
-
-# Shared "nothing happened" feedback (never mutated — every mutation
-# site in this module allocates a fresh Feedback first).  Skip-till-
-# next-match means the overwhelming majority of process() calls change
-# nothing; returning this singleton removes one allocation per event
-# per overlapping window.
-_EMPTY_FEEDBACK = Feedback()
 
 
 class NFAPartialMatch(PartialMatch):
@@ -329,17 +323,17 @@ class NFADetector(Detector):
     def process(self, event: Event) -> Feedback:
         """Process one event.
 
-        Returns the module-shared empty feedback when the event provably
+        Returns the shared ``EMPTY_FEEDBACK`` when the event provably
         changed nothing (the common case under skip-till-next-match);
         callers must treat feedback objects as read-only.
         """
         if self._closed:
             raise RuntimeError("detector already closed")
         if self.done:
-            return _EMPTY_FEEDBACK
+            return EMPTY_FEEDBACK
         relevant = self._plan.relevant_types
         if relevant is not None and event.etype not in relevant:
-            return _EMPTY_FEEDBACK  # type-level skip: O(1), no allocation
+            return EMPTY_FEEDBACK  # type-level skip: O(1), no allocation
 
         feedback: Optional[Feedback] = None
         active = self._active
@@ -372,7 +366,7 @@ class NFADetector(Detector):
                     else:
                         self._extend(match, event, feedback)
                     if self.done:
-                        return feedback or _EMPTY_FEEDBACK
+                        return feedback or EMPTY_FEEDBACK
             else:
                 # one extension per event is enough outside EACH; any
                 # mutation (completion) is followed by the break, so
@@ -395,7 +389,7 @@ class NFADetector(Detector):
             newest = self._active[-1]
             if newest.is_complete:  # single-element patterns
                 self._complete(newest, feedback)
-        return feedback if feedback is not None else _EMPTY_FEEDBACK
+        return feedback if feedback is not None else EMPTY_FEEDBACK
 
     def _extend(self, match: NFAPartialMatch, event: Event,
                 feedback: Optional[Feedback]) -> Optional[Feedback]:
@@ -437,10 +431,10 @@ class NFADetector(Detector):
 
     def close(self) -> Feedback:
         if self._closed:
-            return _EMPTY_FEEDBACK
+            return EMPTY_FEEDBACK
         self._closed = True
         if not self._active:
-            return _EMPTY_FEEDBACK
+            return EMPTY_FEEDBACK
         feedback = Feedback()
         feedback.abandoned.extend(self._active)
         self._active = []

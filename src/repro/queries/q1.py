@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.events.event import Event
-from repro.matching.base import Completion, Detector, Feedback
+from repro.matching.base import (
+    EMPTY_FEEDBACK, Completion, Detector, Feedback)
 from repro.patterns.policies import ConsumptionPolicy, SelectionPolicy
 from repro.patterns.query import Query
 from repro.queries.udf import UDFMatch, is_falling, is_rising
@@ -43,29 +44,29 @@ class Q1Detector(Detector):
         return self._done or self._closed
 
     def process(self, event: Event) -> Feedback:
-        feedback = Feedback()
         if self.done:
-            return feedback
+            return EMPTY_FEEDBACK
         if self._match is None:
             # the pattern starts with the window's own MLE event; if the
             # anchor was consumed elsewhere this window can never match
             if event.seq != self._anchor.seq:
-                return feedback
+                return EMPTY_FEEDBACK
             direction_rising = is_rising(event)
             if not direction_rising and not is_falling(event):
-                return feedback  # unchanged quote opens no pattern
+                return EMPTY_FEEDBACK  # unchanged quote opens no pattern
             self._rising = direction_rising
             match = UDFMatch(match_id=0, delta=self._q)
             match.bind(event, consumed=self._consume)
             self._match = match
-            feedback.created.append(match)
+            feedback = Feedback(created=[match])
             if self._consume:
                 feedback.added.append((match, event))
             return feedback
 
         moves = is_rising(event) if self._rising else is_falling(event)
         if not moves:
-            return feedback
+            return EMPTY_FEEDBACK
+        feedback = Feedback()
         match = self._match
         match.bind(event, consumed=self._consume, delta_after=match.delta - 1)
         if self._consume:
@@ -83,10 +84,10 @@ class Q1Detector(Detector):
         return feedback
 
     def close(self) -> Feedback:
-        feedback = Feedback()
+        feedback = EMPTY_FEEDBACK
         if not self._closed:
             if self._match is not None:
-                feedback.abandoned.append(self._match)
+                feedback = Feedback(abandoned=[self._match])
                 self._match = None
             self._closed = True
         return feedback

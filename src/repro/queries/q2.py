@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.events.event import Event
-from repro.matching.base import Completion, Detector, Feedback
+from repro.matching.base import (
+    EMPTY_FEEDBACK, Completion, Detector, Feedback)
 from repro.patterns.policies import ConsumptionPolicy, SelectionPolicy
 from repro.patterns.query import Query
 from repro.queries.udf import UDFMatch
@@ -71,39 +72,43 @@ class Q2Detector(Detector):
         return remaining
 
     def process(self, event: Event) -> Feedback:
-        feedback = Feedback()
         if self.done:
-            return feedback
+            return EMPTY_FEEDBACK
         cls = self._classify(event)
         if cls is None:
-            return feedback
+            return EMPTY_FEEDBACK
 
         if self._match is None:
-            if cls == 0:  # A: below the lower limit
-                match = UDFMatch(match_id=0, delta=self._delta_at(1, 0))
-                match.bind(event, consumed=self._consume)
-                self._match = match
-                self._stage = 1
-                self._kleene_count = 0
-                feedback.created.append(match)
-                if self._consume:
-                    feedback.added.append((match, event))
+            if cls != 0:  # a pattern opens below the lower limit (A)
+                return EMPTY_FEEDBACK
+            match = UDFMatch(match_id=0, delta=self._delta_at(1, 0))
+            match.bind(event, consumed=self._consume)
+            self._match = match
+            self._stage = 1
+            self._kleene_count = 0
+            feedback = Feedback(created=[match])
+            if self._consume:
+                feedback.added.append((match, event))
             return feedback
 
-        match = self._match
         if self._stage % 2 == 1:  # in a Kleene "between" stage
             next_extreme = _EXTREMES[(self._stage + 1) // 2]
             if self._kleene_count > 0 and cls == next_extreme:
                 self._stage += 1  # progress beats absorption
-                self._bind(match, event, feedback)
-                self._after_extreme(match, feedback)
+                extreme = True
             elif cls == 1:
                 self._kleene_count += 1
-                self._bind(match, event, feedback)
-        else:  # awaiting a mandatory extreme (only reachable transiently)
-            if cls == _EXTREMES[self._stage // 2]:
-                self._bind(match, event, feedback)
-                self._after_extreme(match, feedback)
+                extreme = False
+            else:
+                return EMPTY_FEEDBACK
+        elif cls == _EXTREMES[self._stage // 2]:
+            extreme = True  # a mandatory extreme (only reachable transiently)
+        else:
+            return EMPTY_FEEDBACK
+        feedback = Feedback()
+        self._bind(self._match, event, feedback)
+        if extreme:
+            self._after_extreme(self._match, feedback)
         return feedback
 
     def _bind(self, match: UDFMatch, event: Event,
@@ -132,10 +137,10 @@ class Q2Detector(Detector):
             match.delta = self._delta_at(self._stage, 0)
 
     def close(self) -> Feedback:
-        feedback = Feedback()
+        feedback = EMPTY_FEEDBACK
         if not self._closed:
             if self._match is not None:
-                feedback.abandoned.append(self._match)
+                feedback = Feedback(abandoned=[self._match])
                 self._match = None
             self._closed = True
         return feedback

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.events.event import Event
-from repro.matching.base import Completion, Detector, Feedback
+from repro.matching.base import (
+    EMPTY_FEEDBACK, Completion, Detector, Feedback)
 from repro.patterns.policies import ConsumptionPolicy, SelectionPolicy
 from repro.patterns.query import Query
 from repro.queries.udf import UDFMatch
@@ -44,24 +45,25 @@ class Q3Detector(Detector):
         return self._done or self._closed
 
     def process(self, event: Event) -> Feedback:
-        feedback = Feedback()
         if self.done:
-            return feedback
+            return EMPTY_FEEDBACK
         symbol = event.attributes.get("symbol")
 
         if self._match is None:
-            if symbol == self._anchor_symbol:
-                match = UDFMatch(match_id=0, delta=len(self._set_symbols))
-                match.bind(event, consumed=self._consume)
-                self._match = match
-                self._missing = set(self._set_symbols)
-                feedback.created.append(match)
-                if self._consume:
-                    feedback.added.append((match, event))
+            if symbol != self._anchor_symbol:
+                return EMPTY_FEEDBACK
+            match = UDFMatch(match_id=0, delta=len(self._set_symbols))
+            match.bind(event, consumed=self._consume)
+            self._match = match
+            self._missing = set(self._set_symbols)
+            feedback = Feedback(created=[match])
+            if self._consume:
+                feedback.added.append((match, event))
             return feedback
 
         if symbol not in self._missing:
-            return feedback
+            return EMPTY_FEEDBACK
+        feedback = Feedback()
         self._missing.discard(symbol)
         match = self._match
         match.bind(event, consumed=self._consume,
@@ -81,10 +83,10 @@ class Q3Detector(Detector):
         return feedback
 
     def close(self) -> Feedback:
-        feedback = Feedback()
+        feedback = EMPTY_FEEDBACK
         if not self._closed:
             if self._match is not None:
-                feedback.abandoned.append(self._match)
+                feedback = Feedback(abandoned=[self._match])
                 self._match = None
             self._closed = True
         return feedback

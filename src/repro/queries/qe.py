@@ -19,7 +19,8 @@ from __future__ import annotations
 
 
 from repro.events.event import Event
-from repro.matching.base import Completion, Detector, Feedback
+from repro.matching.base import (
+    EMPTY_FEEDBACK, Completion, Detector, Feedback)
 from repro.patterns.policies import ConsumptionPolicy, SelectionPolicy
 from repro.patterns.query import Query
 from repro.queries.udf import UDFMatch
@@ -51,23 +52,22 @@ class QEDetector(Detector):
         return self._anchor_seen and not self._anchor_alive
 
     def process(self, event: Event) -> Feedback:
-        feedback = Feedback()
         if self._closed:
-            return feedback
+            return EMPTY_FEEDBACK
         if not self._anchor_seen:
             if event.seq == self._anchor.seq:
                 self._anchor_seen = True
                 self._anchor_alive = event.etype == "A"
-            return feedback
+            return EMPTY_FEEDBACK
         if not self._anchor_alive or event.etype != "B":
-            return feedback
+            return EMPTY_FEEDBACK
 
         # every B instantly completes a (window-A, B) correlation
         match = UDFMatch(match_id=self._next_id, delta=0)
         self._next_id += 1
         match.bind(self._anchor, consumed=self._policy.consumes("A"))
         match.bind(event, consumed=self._policy.consumes("B"))
-        feedback.created.append(match)
+        feedback = Feedback(created=[match])
         a_change = self._anchor.attributes.get("change")
         b_change = event.attributes.get("change")
         factor = None
@@ -83,7 +83,7 @@ class QEDetector(Detector):
 
     def close(self) -> Feedback:
         self._closed = True
-        return Feedback()
+        return EMPTY_FEEDBACK
 
 
 def make_qe(consumption: ConsumptionPolicy | str = "selected-b",

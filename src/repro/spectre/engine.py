@@ -22,7 +22,9 @@ with rollback), completion-probability pricing, statistics, and the two
 optional policies its config may name — completion-probability
 elasticity (``SpectreConfig.elasticity``, Sec. 4.2.1) and approximate
 early emission (``SpectreConfig.emission_threshold``, Sec. 5), run at
-the end of each splitter cycle.
+the end of each splitter cycle.  Each cycle an instance runs its
+scheduled version for the whole cycle budget in one call; the threaded
+runtime calls the same loop one step at a time.
 
 Because instances only see group mutations made by *other* versions with
 a one-cycle delay, the consistency-check/rollback machinery is genuinely
@@ -45,7 +47,7 @@ from repro.consumption.group import ConsumptionGroup
 from repro.consumption.ledger import ConsumptionLedger
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
-from repro.matching.base import Feedback
+from repro.matching.base import EMPTY_FEEDBACK, Feedback
 from repro.patterns.query import Query
 from repro.runtime.forest import Forest
 from repro.runtime.instances import InstancePool
@@ -509,84 +511,99 @@ class SpectreEngine:
     # ------------------------------------------------------------------
 
     def instance_phase(self) -> None:
-        """Every instance spends one cycle's virtual-time budget."""
+        """Every instance spends one cycle's virtual-time budget on its
+        version, in one call under one lock acquisition."""
         cycle_budget = self.config.steps_per_cycle * self.config.costs.process
         for instance in self.pool:
             version = instance.version
             if version is None or not version.alive:
                 continue
-            budget = cycle_budget
-            while budget > 0 and version.alive and not version.finished:
-                budget -= self._step_version(version)
+            with version.lock:
+                self._run_version(version, cycle_budget)
         self.virtual_time += cycle_budget
         self.stats.cycles += 1
 
-    def _step_version(self, version: WindowVersion) -> float:
-        """One Fig. 8 loop iteration; returns the virtual-time cost."""
-        with version.lock:
-            return self._step_version_locked(version)
-
-    def _step_version_locked(self, version: WindowVersion) -> float:
-        costs = self.config.costs
-        if version.finished:
-            return costs.suppressed  # raced with a concurrent finish
-        if version.exhausted:
-            self._finish_version(version)
-            return costs.suppressed
-        position = version.position
-        event = version.window.event_at(position)
-        version.position = position + 1
-        version.steps_spent += 1
-
+    def _run_version(self, version: WindowVersion, budget: float) -> float:
+        """Fig. 8's loop: step ``version`` (its lock held) until it
+        finishes, dies or has spent ``budget`` — at least one step, so 0
+        is exactly one; returns the budget left.  Hoisted is only what no
+        step can change; what the splitter may touch (``alive``,
+        ``assumes_completed``, the ledger, the groups) is read live."""
+        config, stats, ledger = self.config, self.stats, version.ledger
+        costs, check_freq = config.costs, config.consistency_check_freq
+        process, suppressed, check = \
+            costs.process, costs.suppressed, costs.check
+        window = version.window
+        stream, start, size = window.stream, window.start_pos, window.size()
         classifier = self._classifier
-        if classifier is not None and not classifier.relevant(
-                version.window.start_pos + position):
-            # Type-irrelevant event (prefilter flags, classified once at
-            # ingestion): it can neither bind an element nor trip a
-            # guard, so the detector never needs to see it — no
-            # Feedback, no used_seqs entry, and no suppression check
-            # (ledgers and groups only ever hold bound, i.e. relevant,
-            # events).  In *virtual* time it still costs a full
-            # processing step so the simulated cost model (and the
-            # Fig. 10 dynamics) match the uncompiled runtime exactly;
-            # the saving is real wall-clock time.  δ self-transitions
-            # the interpreted path would record for such no-op events
-            # are deliberately not observed — the Markov statistics
-            # then describe the events the detector can see (the
-            # predictor is a scheduling heuristic; emission is
-            # validated independently).
-            self.stats.steps_processed += 1
-            cost = costs.process
-        elif event.seq in version.local_consumed_seqs or \
-                version.is_suppressed(event):
-            self.stats.steps_suppressed += 1
-            cost = costs.suppressed
-        else:
-            detector = version.ensure_detector()
-            if detector.done:
-                cost = costs.process  # drain the window at full cost
-            else:
-                collect = (self.config.collect_transition_stats
-                           and self._consumes
-                           and self._is_nonspeculative(version))
-                pre = [(g, g.delta) for g in version.open_own_groups] \
-                    if collect else ()
-                feedback = detector.process(event)
-                version.used_seqs.add(event.seq)
-                self._handle_feedback(version, feedback)
-                if collect:
-                    self._observe_transitions(pre)
-                cost = costs.process
-            self.stats.steps_processed += 1
+        relevant = None if classifier is None else classifier.relevant
+        collect = (config.collect_transition_stats and self._consumes
+                   and self._is_nonspeculative(version))
+        processed = skipped = 0
+        try:
+            while version.alive and not version.finished:
+                position = version.position
+                if position >= size:
+                    self._finish_version(version)
+                    budget -= suppressed
+                    break
+                event = stream[start + position]
+                version.position = position + 1
+                version.steps_spent += 1
+                seq = event.seq
+                suppress = False
+                if relevant is not None and not relevant(start + position):
+                    # Type-irrelevant (prefilter flags, classified once at
+                    # ingestion): it can bind nothing and trip no guard, so
+                    # neither the detector nor the suppression check (groups
+                    # hold only bound events) sees it.  It still costs a full
+                    # step of virtual time, so the cost model matches the
+                    # uncompiled runtime.  The δ self-transitions it would
+                    # show go unobserved: the predictor only schedules, and
+                    # emission is validated independently.
+                    pass
+                elif seq in version.local_consumed_seqs or (
+                        ledger is not None and ledger.contains_seq(seq)):
+                    suppress = True
+                else:
+                    for group in version.assumes_completed:
+                        if group.contains_seq(seq):
+                            suppress = True
+                            break
+                    else:
+                        detector = version.ensure_detector()
+                        if not detector.done:  # else: drain at full cost
+                            pre = [(g, g.delta) for g in
+                                   version.open_own_groups] if collect else ()
+                            feedback = detector.process(event)
+                            version.used_seqs.add(seq)
+                            if feedback is not EMPTY_FEEDBACK:
+                                self._handle_feedback(version, feedback)
+                            if collect:
+                                self._observe_transitions(pre)
+                if suppress:
+                    skipped += 1
+                    cost = suppressed
+                else:
+                    processed += 1
+                    cost = process
 
-        version.steps_since_check += 1
-        if version.steps_since_check >= self.config.consistency_check_freq:
-            version.steps_since_check = 0
-            cost += costs.check * max(1, len(version.assumes_completed))
-            if version.consistency_violations():
-                self._rollback(version)
-                self.stats.rollbacks += 1
-        return cost
+                since_check = version.steps_since_check + 1
+                if since_check < check_freq:
+                    version.steps_since_check = since_check
+                else:
+                    version.steps_since_check = 0
+                    cost += check * max(1, len(version.assumes_completed))
+                    if version.consistency_violations():
+                        self._rollback(version)
+                        stats.rollbacks += 1
+                budget -= cost
+                if budget <= 0:
+                    break
+        finally:
+            stats.steps_processed += processed
+            stats.steps_suppressed += skipped
+        return budget
 
     def _is_nonspeculative(self, version: WindowVersion) -> bool:
         """Is this version's context certain (statistics-grade)?

@@ -89,7 +89,8 @@ class ThreadedSpectreEngine(SpectreEngine):
                 time.sleep(delay)  # nothing scheduled: yield, backing off
                 delay = min(delay * 2.0, self._idle_backoff_cap)
                 continue
-            self._step_version(version)
+            with version.lock:  # one step per acquisition
+                self._run_version(version, 0.0)
             delay = _BACKOFF_MIN
 
     def _splitter_progress(self) -> tuple:

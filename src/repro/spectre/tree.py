@@ -497,7 +497,7 @@ class DependencyTree:
         completed_spliced = [vertex.group for vertex in spliced
                              if vertex.group.state is GroupState.COMPLETED]
         for version in self.collect_versions(subtree):
-            stale = any(not version.used_seqs.isdisjoint(group.event_seqs)
+            stale = any(group.overlaps_seqs(version.used_seqs)
                         for group in completed_spliced
                         if group in version.assumes_completed)
             if any(g.group_id in gone for g in version.assumes_completed):

@@ -148,7 +148,7 @@ class WindowVersion:
         inconsistent = False
         for group in self.assumes_completed:
             if group.version != self.last_checked.get(group.group_id):
-                if not self.used_seqs.isdisjoint(group.event_seqs):
+                if group.overlaps_seqs(self.used_seqs):
                     inconsistent = True
             self.last_checked[group.group_id] = group.version
         return inconsistent
@@ -170,7 +170,7 @@ class WindowVersion:
         for group in self.assumes_completed:
             if group.state is not GroupState.COMPLETED:
                 return False
-            if not self.used_seqs.isdisjoint(group.event_seqs):
+            if group.overlaps_seqs(self.used_seqs):
                 return False
         for group in self.assumes_abandoned:
             if group.state is not GroupState.ABANDONED:

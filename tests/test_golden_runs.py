@@ -47,7 +47,10 @@ from repro.durability.wal import encode_record, list_segments, read_wal
 from repro.hub import StreamHub
 from repro.patterns.parser import parse_query
 from repro.queries.fig9 import q1_text
+from repro.queries.q1 import make_q1
+from repro.spectre.elasticity import ElasticityPolicy
 from repro.streaming.builder import build_engine
+from tests.helpers import fingerprint
 
 GOLDEN = Path(__file__).parent / "golden"
 BAND_PARAMS = {"lowerLimit": 49.9, "upperLimit": 50.1}
@@ -177,6 +180,69 @@ def test_engine_counters_on_the_golden_workloads(name, engine):
         assert {field: getattr(result, field) for field in want} == want
         if stats is not None:
             assert dataclasses.asdict(result.stats) == stats
+
+
+# The paper's UDF Q1 at the ladder's two operating points (q=8: completion
+# probability ~1.0; q=110: ~0.75, hundreds of rollbacks at k=8), ws=400,
+# consumption on, NYSE-150 with 40 % flat quotes.  Recorded at commit
+# e0069d8, before the instance loop ran a cycle per call: the
+# ``tests.helpers.fingerprint`` of each run (identities, every RunStats
+# field, virtual_time, adaptations, early emissions) must not move.
+UDF_Q1_EVENTS = generate_nyse(4096, n_symbols=150, n_leading=2, seed=3,
+                              unchanged_probability=0.4)
+UDF_Q1_PINS = {
+    "q8-k1-topk": (8, "lazy", dict(k=1, scheduler="topk"),
+                   ("38cd81241bd758d0", 27, 11832.0, [], 0)),
+    "q8-k1-fifo": (8, "lazy", dict(k=1, scheduler="fifo"),
+                   ("38cd81241bd758d0", 27, 11832.0, [], 0)),
+    "q8-k1-roundrobin": (8, "lazy", dict(k=1, scheduler="roundrobin"),
+                         ("38cd81241bd758d0", 27, 11832.0, [], 0)),
+    "q8-k8-topk": (8, "lazy", dict(k=8, scheduler="topk"),
+                   ("3a91975bc45e5e60", 27, 1672.0, [], 0)),
+    "q8-k8-fifo": (8, "lazy", dict(k=8, scheduler="fifo"),
+                   ("c5c843ef32412b6f", 27, 1744.0, [], 0)),
+    "q8-k8-roundrobin": (8, "lazy", dict(k=8, scheduler="roundrobin"),
+                         ("c5c843ef32412b6f", 27, 1744.0, [], 0)),
+    "q110-k1-topk": (110, "lazy", dict(k=1, scheduler="topk"),
+                     ("8b6bb6cff41ff1d3", 14, 10192.0, [], 0)),
+    "q110-k1-fifo": (110, "lazy", dict(k=1, scheduler="fifo"),
+                     ("8b6bb6cff41ff1d3", 14, 10192.0, [], 0)),
+    "q110-k1-roundrobin": (110, "lazy", dict(k=1, scheduler="roundrobin"),
+                           ("8b6bb6cff41ff1d3", 14, 10192.0, [], 0)),
+    "q110-k8-topk": (110, "lazy", dict(k=8, scheduler="topk"),
+                     ("33277b8790b28026", 14, 3336.0, [], 0)),
+    "q110-k8-fifo": (110, "lazy", dict(k=8, scheduler="fifo"),
+                     ("742802d9fb39279a", 14, 4760.0, [], 0)),
+    "q110-k8-roundrobin": (110, "lazy", dict(k=8, scheduler="roundrobin"),
+                           ("742802d9fb39279a", 14, 4760.0, [], 0)),
+    "q110-elastic": (110, "lazy", dict(k=4, elasticity=ElasticityPolicy(
+        max_k=16, plateau_k=4, period=50, min_resolved=5)),
+        ("1dbed09943c94dc1", 14, 3560.0, [(200, 1.0, 16)], 0)),
+    "q110-emission": (110, "lazy", dict(k=8, emission_threshold=0.6),
+                      ("76088c4bd96fdf52", 14, 3336.0, [], 14)),
+    "q8-k8-eager": (8, "eager", dict(k=8),
+                    ("28c449f29021342c", 27, 6272.0, [], 0)),
+    "q110-k8-eager": (110, "eager", dict(k=8),
+                      ("e936af6845ec3f31", 14, 6384.0, [], 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(UDF_Q1_PINS))
+def test_udf_q1_runs_are_pinned(name):
+    """Batch runs and an eager session pushed 256-event chunks (the
+    ladder's chunk) reproduce the recorded runs bit-for-bit."""
+    q, mode, options, pinned = UDF_Q1_PINS[name]
+    query = make_q1(q, window_size=400, leading_symbols=leading_symbols(2))
+    engine = build_engine(query, "spectre", **options)
+    if mode == "lazy":
+        result = engine.run(UDF_Q1_EVENTS)
+    else:
+        session = engine.open()
+        for start in range(0, len(UDF_Q1_EVENTS), 256):
+            session.push_many(UDF_Q1_EVENTS[start:start + 256])
+        session.flush()
+        result = session.result()
+    assert fingerprint(engine, result) == pinned
 
 
 def test_rewriting_the_crashed_wal_yields_the_golden_records(tmp_path):

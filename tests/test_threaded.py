@@ -70,3 +70,24 @@ class TestThreadedEquivalence:
             engine = ThreadedSpectreEngine(query, SpectreConfig(k=4))
             result = engine.run(nyse, timeout_seconds=120.0)
             assert result.identities() == expected
+
+    def test_workers_step_through_the_one_instance_loop(self, nyse):
+        """The workers run the simulated engine's loop, one step per
+        lock acquisition (a budget of 0), and stay exact."""
+        query = make_q1(q=8, window_size=200,
+                        leading_symbols=leading_symbols(2))
+        expected = pipeline(query).engine("sequential").run(nyse).identities()
+        engine = ThreadedSpectreEngine(query, SpectreConfig(k=2))
+        budgets = []
+        loop = engine._run_version
+
+        def spy(version, budget):
+            assert version.lock.locked()
+            budgets.append(budget)
+            return loop(version, budget)
+
+        engine._run_version = spy
+        result = engine.run(nyse, timeout_seconds=120.0)
+        assert result.identities() == expected
+        assert budgets and set(budgets) == {0.0}
+        assert not hasattr(engine, "_step_version")

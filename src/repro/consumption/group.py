@@ -85,15 +85,13 @@ class ConsumptionGroup:
         return tuple(self._events)
 
     @property
-    def event_seqs(self) -> frozenset[int]:
-        return frozenset(self._event_seqs)
-
-    def contains_seq(self, seq: int) -> bool:
-        return seq in self._event_seqs
+    def event_seqs(self) -> set[int]:
+        """The live seq set, read-only: an update publishes a new set, so
+        a reference taken is a snapshot."""
+        return self._event_seqs
 
     def overlaps_seqs(self, seqs: Iterable[int]) -> bool:
-        """Does any of ``seqs`` sit in the group?  (No copy of the set,
-        unlike :attr:`event_seqs`.)"""
+        """Does any of ``seqs`` sit in the group?"""
         return not self._event_seqs.isdisjoint(seqs)
 
     # -- lifecycle -----------------------------------------------------------

@@ -31,8 +31,10 @@ class ConsumptionLedger:
     def is_consumed(self, event: Event) -> bool:
         return event.seq in self._seqs
 
-    def contains_seq(self, seq: int) -> bool:
-        return seq in self._seqs
+    @property
+    def seqs(self) -> set[int]:
+        """The live seq set, read-only: it only grows, in place."""
+        return self._seqs
 
     def overlaps_seqs(self, seqs: Iterable[int]) -> bool:
         """Does any of ``seqs`` already sit in the ledger?"""

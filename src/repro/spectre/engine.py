@@ -26,6 +26,16 @@ the end of each splitter cycle.  Each cycle an instance runs its
 scheduled version for the whole cycle budget in one call; the threaded
 runtime calls the same loop one step at a time.
 
+The loop keeps what only it writes under the version's lock (position,
+step counters, used and locally consumed seqs, detector) in locals,
+written back when the call ends and reloaded after a rollback resets
+them.  Suppression is set membership: the ledger's set grows in place; a
+group publishes a new set per update, so each is read per step, as are
+``alive``, ``finished`` and ``assumes_completed``, which the splitter may
+change between two steps.  Events are indexed in the stream per step: a
+per-call slice of the window costs about what it saves over a cycle's
+budget and adds half to a one-step (threaded) call.
+
 Because instances only see group mutations made by *other* versions with
 a one-cycle delay, the consistency-check/rollback machinery is genuinely
 exercised, exactly as in the concurrent original.
@@ -43,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.consumption.group import ConsumptionGroup
+from repro.consumption.group import ConsumptionGroup, GroupState
 from repro.consumption.ledger import ConsumptionLedger
 from repro.events.complex_event import ComplexEvent
 from repro.events.event import Event
@@ -66,6 +76,8 @@ from repro.streaming.session import WindowedSession, run_batch
 from repro.utils.ids import IdGenerator
 from repro.windows.splitter import Splitter
 from repro.windows.window import Window
+
+OPEN, ABANDONED = GroupState.OPEN, GroupState.ABANDONED
 
 
 @dataclass
@@ -526,10 +538,9 @@ class SpectreEngine:
     def _run_version(self, version: WindowVersion, budget: float) -> float:
         """Fig. 8's loop: step ``version`` (its lock held) until it
         finishes, dies or has spent ``budget`` — at least one step, so 0
-        is exactly one; returns the budget left.  Hoisted is only what no
-        step can change; what the splitter may touch (``alive``,
-        ``assumes_completed``, the ledger, the groups) is read live."""
-        config, stats, ledger = self.config, self.stats, version.ledger
+        is exactly one; returns the budget left.  What it hoists and
+        what it reads live: see the module docstring."""
+        config, stats = self.config, self.stats
         costs, check_freq = config.costs, config.consistency_check_freq
         process, suppressed, check = \
             costs.process, costs.suppressed, costs.check
@@ -537,22 +548,25 @@ class SpectreEngine:
         stream, start, size = window.stream, window.start_pos, window.size()
         classifier = self._classifier
         relevant = None if classifier is None else classifier.relevant
+        consumed = self._ledger.seqs  # the ledger every version reads
         collect = (config.collect_transition_stats and self._consumes
                    and self._is_nonspeculative(version))
+        position, spent = version.position, version.steps_spent
+        since_check, detector = version.steps_since_check, version.detector
+        local_consumed, used = version.local_consumed_seqs, version.used_seqs
         processed = skipped = 0
         try:
             while version.alive and not version.finished:
-                position = version.position
                 if position >= size:
                     self._finish_version(version)
                     budget -= suppressed
                     break
                 event = stream[start + position]
-                version.position = position + 1
-                version.steps_spent += 1
+                position += 1
+                spent += 1
                 seq = event.seq
                 suppress = False
-                if relevant is not None and not relevant(start + position):
+                if relevant is not None and not relevant(start + position - 1):
                     # Type-irrelevant (prefilter flags, classified once at
                     # ingestion): it can bind nothing and trip no guard, so
                     # neither the detector nor the suppression check (groups
@@ -562,25 +576,29 @@ class SpectreEngine:
                     # show go unobserved: the predictor only schedules, and
                     # emission is validated independently.
                     pass
-                elif seq in version.local_consumed_seqs or (
-                        ledger is not None and ledger.contains_seq(seq)):
+                elif seq in local_consumed or seq in consumed:
                     suppress = True
                 else:
                     for group in version.assumes_completed:
-                        if group.contains_seq(seq):
+                        if seq in group.event_seqs:
                             suppress = True
                             break
                     else:
-                        detector = version.ensure_detector()
+                        if detector is None:
+                            detector = version.ensure_detector()
                         if not detector.done:  # else: drain at full cost
-                            pre = [(g, g.delta) for g in
-                                   version.open_own_groups] if collect else ()
+                            if collect:  # δ of the open groups before
+                                pre = [(g, g.delta) for g in version.own_groups
+                                       if g.state is OPEN]
                             feedback = detector.process(event)
-                            version.used_seqs.add(seq)
+                            used.add(seq)
                             if feedback is not EMPTY_FEEDBACK:
                                 self._handle_feedback(version, feedback)
                             if collect:
-                                self._observe_transitions(pre)
+                                for group, delta_old in pre:
+                                    if group.state is not ABANDONED:
+                                        self.predictor.observe(
+                                            delta_old, group.delta)
                 if suppress:
                     skipped += 1
                     cost = suppressed
@@ -588,19 +606,24 @@ class SpectreEngine:
                     processed += 1
                     cost = process
 
-                since_check = version.steps_since_check + 1
-                if since_check < check_freq:
-                    version.steps_since_check = since_check
-                else:
-                    version.steps_since_check = 0
+                since_check += 1
+                if since_check >= check_freq:
+                    since_check = 0
                     cost += check * max(1, len(version.assumes_completed))
                     if version.consistency_violations():
                         self._rollback(version)
                         stats.rollbacks += 1
+                        position = version.position
+                        since_check = version.steps_since_check
+                        detector = version.detector
+                        local_consumed, used = \
+                            version.local_consumed_seqs, version.used_seqs
                 budget -= cost
                 if budget <= 0:
                     break
         finally:
+            version.position, version.steps_spent = position, spent
+            version.steps_since_check = since_check
             stats.steps_processed += processed
             stats.steps_suppressed += skipped
         return budget
@@ -619,13 +642,6 @@ class SpectreEngine:
         if tree is None or tree.root is None:
             return False
         return tree.root.version is version
-
-    def _observe_transitions(self, pre) -> None:
-        from repro.consumption.group import GroupState
-        for group, delta_old in pre:
-            if group.state is GroupState.ABANDONED:
-                continue
-            self.predictor.observe(delta_old, group.delta)
 
     def _finish_version(self, version: WindowVersion) -> None:
         if version.detector is not None:

@@ -19,6 +19,11 @@ Implementation parameter: for very long patterns, δ values are bucketed
 linearly onto at most ``state_cap`` states so that the matrices stay small
 (a 2560-stage Q1 pattern would otherwise need 2561² matrices); predictions
 remain monotone in δ and n, which is all the scheduler consumes.
+
+Pricing reads one matrix entry: a miss interpolates only ``[state, 0]``
+of the two bracketing powers — bit for bit the interpolated matrix's
+entry, as numpy applies the same IEEE operations to each element — and
+``state_of`` reads a table that caches its formula per δ.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ class MarkovPredictor:
         self.params = params or MarkovParams()
         self.delta_max = delta_max
         self.n_states = min(delta_max, self.params.state_cap) + 1
+        self._states: dict[int, int] = {}  # δ → state_of(δ), filled lazily
 
         self._t1 = self._prior_matrix()
         self._counts = np.zeros((self.n_states, self.n_states))
@@ -82,6 +88,12 @@ class MarkovPredictor:
 
     def state_of(self, delta: int) -> int:
         """Bucket δ onto the model's state space (0 = complete)."""
+        state = self._states.get(delta)
+        if state is None:  # once per δ; a pattern has delta_max + 1 of them
+            state = self._states[delta] = self._bucket(delta)
+        return state
+
+    def _bucket(self, delta: int) -> int:
         if delta <= 0:
             return 0
         if self.delta_max <= self.params.state_cap:
@@ -157,16 +169,15 @@ class MarkovPredictor:
         if cached is not None:
             return cached
 
+        # v_n = v_0 · T_n; completion probability is the "state 0" entry
         lower_steps, remainder = divmod(n, ell)
+        lower = float(self._power_step(lower_steps)[state, 0])
         if remainder == 0:
-            t_n = self._power_step(lower_steps)
+            probability = lower
         else:
             weight = remainder / ell
-            t_lower = self._power_step(lower_steps)
-            t_upper = self._power_step(lower_steps + 1)
-            t_n = (1.0 - weight) * t_lower + weight * t_upper
-        # v_n = v_0 · T_n; completion probability is the "state 0" entry
-        probability = float(t_n[state, 0])
+            upper = float(self._power_step(lower_steps + 1)[state, 0])
+            probability = (1.0 - weight) * lower + weight * upper
         probability = min(1.0, max(0.0, probability))
         self._prob_cache[cache_key] = probability
         return probability

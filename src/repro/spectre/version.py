@@ -14,12 +14,10 @@ events, and the consumption groups its own partial matches created.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.consumption.group import ConsumptionGroup, GroupState
 from repro.events.complex_event import ComplexEvent
-from repro.events.event import Event
 from repro.matching.base import Detector, PartialMatch
 from repro.windows.window import Window
 
@@ -78,40 +76,12 @@ class WindowVersion:
         # the threaded runtime; uncontended (cheap) in the simulated one
         self.lock = threading.Lock()
 
-    # -- suppression --------------------------------------------------------
-
-    def is_suppressed(self, event: Event) -> bool:
-        """Fig. 8 line 13: is ``event`` in any suppressed group / already
-        consumed before this version's tree existed?"""
-        seq = event.seq
-        if self.ledger is not None and self.ledger.contains_seq(seq):
-            return True
-        for group in self.assumes_completed:
-            if group.contains_seq(seq):
-                return True
-        return False
-
-    @property
-    def suppressed_groups(self) -> tuple[ConsumptionGroup, ...]:
-        """``currentWV.suppressedCGs`` of Fig. 8."""
-        return self.assumes_completed
-
     # -- lifecycle ------------------------------------------------------------
 
     def ensure_detector(self) -> Detector:
         if self.detector is None:
             self.detector = self._query.new_detector(self.window.start_event)
         return self.detector
-
-    @property
-    def exhausted(self) -> bool:
-        """All window events handled (detector may still need closing)."""
-        size = self.window.size()
-        return size is not None and self.position >= size
-
-    @property
-    def open_own_groups(self) -> list[ConsumptionGroup]:
-        return [g for g in self.own_groups if g.is_open]
 
     def group_for_match(self, match: PartialMatch) -> Optional[ConsumptionGroup]:
         return self.match_to_group.get(id(match))

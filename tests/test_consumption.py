@@ -33,7 +33,17 @@ class TestConsumptionGroup:
         group = ConsumptionGroup(1)
         group.add(make_event(0, "A"))
         assert group.version == 1
-        assert group.contains_seq(0)
+        assert 0 in group.event_seqs
+
+    def test_event_seqs_reference_is_a_snapshot(self):
+        """An update publishes a new set (copy-on-write), so readers in
+        other threads never see one mid-mutation."""
+        group = ConsumptionGroup(1, events=[make_event(0, "A")])
+        before = group.event_seqs
+        group.add(make_event(1, "A"))
+        assert before == {0} and group.event_seqs == {0, 1}
+        group.complete([make_event(1, "A")])
+        assert group.event_seqs == {1}
 
     def test_add_duplicate_is_noop(self):
         group = ConsumptionGroup(1)
@@ -104,7 +114,13 @@ class TestConsumptionLedger:
         ledger.consume([event])
         assert ledger.is_consumed(event)
         assert event in ledger
-        assert ledger.contains_seq(3)
+        assert 3 in ledger.seqs
+
+    def test_seqs_is_the_live_set(self):
+        ledger = ConsumptionLedger()
+        seqs = ledger.seqs
+        ledger.consume_seqs([2])
+        assert ledger.seqs is seqs and 2 in seqs
 
     def test_consume_seqs(self):
         ledger = ConsumptionLedger()

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.events import make_event
+from repro.consumption import ConsumptionGroup
+from repro.events import EventStream, make_event
 from repro.patterns import ConsumptionPolicy
 from repro.spectre import SpectreConfig, SpectreEngine
 from repro.spectre.config import CostModel, MarkovParams
+from repro.spectre.version import WindowVersion
 from repro.streaming.builder import pipeline
+from repro.windows import Window
 
 from tests.helpers import ab_query
 
@@ -196,3 +199,81 @@ class TestLatencyInstrumentation:
             result = pipeline(query).engine("spectre", k=k).run(events)
             assert all(latency <= result.virtual_time
                        for latency in result.stats.window_latencies)
+
+
+class TestInstanceLoop:
+    """Fig. 8 suppression has one definition, the instance loop's: an
+    event is skipped when this version consumed it, when the ledger
+    holds it, or when a group whose completion it assumes holds it."""
+
+    SIZE = 10
+
+    def make(self, completed=(), abandoned=(), check_freq=10):
+        engine = SpectreEngine(ab_query(window=self.SIZE, slide=self.SIZE),
+                               SpectreConfig(
+                                   consistency_check_freq=check_freq))
+        stream = EventStream(make_event(i, "X") for i in range(self.SIZE))
+        version = WindowVersion(0, Window(0, stream, 0, self.SIZE),
+                                engine.query, tuple(completed),
+                                tuple(abandoned), ledger=engine._ledger)
+        return engine, version
+
+    def used_after_run(self, engine, version):
+        engine._run_version(version, 100.0)
+        assert version.finished
+        return version.used_seqs
+
+    def test_ledger_seqs_are_suppressed(self):
+        engine, version = self.make()
+        engine._ledger.consume_seqs([3])
+        assert self.used_after_run(engine, version) == set(range(10)) - {3}
+        assert engine.stats.steps_suppressed == 1
+
+    def test_locally_consumed_seqs_are_suppressed(self):
+        engine, version = self.make()
+        version.local_consumed_seqs.add(4)
+        assert self.used_after_run(engine, version) == set(range(10)) - {4}
+
+    def test_assumed_completed_group_suppresses(self):
+        group = ConsumptionGroup(0, events=[make_event(5, "X")])
+        engine, version = self.make(completed=[group])
+        assert self.used_after_run(engine, version) == set(range(10)) - {5}
+
+    def test_assumed_abandoned_group_does_not_suppress(self):
+        group = ConsumptionGroup(0, events=[make_event(5, "X")])
+        engine, version = self.make(abandoned=[group])
+        assert self.used_after_run(engine, version) == set(range(10))
+        assert engine.stats.steps_suppressed == 0
+
+    def test_group_growth_is_seen_by_the_next_step(self):
+        """Group seq sets are replaced on every update, so the loop
+        reads them live, not once per call."""
+        group = ConsumptionGroup(0)
+        engine, version = self.make(completed=[group])
+        for _ in range(3):
+            engine._run_version(version, 0.0)
+        group.add(make_event(6, "X"))
+        assert self.used_after_run(engine, version) == set(range(10)) - {6}
+
+    def test_cycle_budget_equals_single_steps_across_a_rollback(self):
+        """State the loop keeps in locals is written back, and reloaded
+        after a rollback, exactly as one step per call leaves it."""
+        finals = []
+        for budget in (100.0, 0.0):
+            group = ConsumptionGroup(0)
+            engine, version = self.make(completed=[group], check_freq=2)
+            for _ in range(3):
+                engine._run_version(version, 0.0)
+            group.add(make_event(1, "X"))  # a seq the version used
+            while not version.finished:
+                engine._run_version(version, budget)
+            assert version.rollbacks == 1
+            finals.append((version.position, version.steps_spent,
+                           version.steps_since_check, version.used_seqs,
+                           version.rollbacks, engine.stats.rollbacks,
+                           engine.stats.steps_processed,
+                           engine.stats.steps_suppressed))
+        assert finals[0] == finals[1]
+        position, spent, *_rest = finals[0]
+        assert (position, spent) == (self.SIZE, 3 + 1 + self.SIZE)
+        assert finals[0][3] == set(range(10)) - {1}

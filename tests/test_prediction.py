@@ -183,3 +183,73 @@ class TestMarkovLearning:
             predictor.observe(src, dst)
         matrix = predictor.transition_matrix
         assert np.allclose(matrix.sum(axis=1), 1.0)
+
+
+def full_matrix_state(predictor, delta):
+    """``state_of`` as the formula it tabulates."""
+    if delta <= 0:
+        return 0
+    top = predictor.n_states - 1
+    if predictor.delta_max <= predictor.params.state_cap:
+        return min(delta, top)
+    scaled = int(np.ceil(delta * top / predictor.delta_max))
+    return max(1, min(scaled, top))
+
+
+def full_matrix_probability(predictor, delta, events_left):
+    """Fig. 5 line 6 interpolating the whole matrix, then reading
+    ``[state, 0]`` — the reference the one-entry pricing must equal."""
+    state = full_matrix_state(predictor, delta)
+    if state == 0:
+        return 1.0
+    n = max(1, int(round(events_left)))
+    ell = predictor.params.ell
+    lower_steps, remainder = divmod(n, ell)
+    if remainder == 0:
+        t_n = predictor._power_step(lower_steps)
+    else:
+        weight = remainder / ell
+        t_lower = predictor._power_step(lower_steps)
+        t_upper = predictor._power_step(lower_steps + 1)
+        t_n = (1.0 - weight) * t_lower + weight * t_upper
+    return min(1.0, max(0.0, float(t_n[state, 0])))
+
+
+class TestPricingReadsOneEntry:
+    """The predictor interpolates only the entry it returns, and maps δ
+    through a table: both must equal the full-matrix formulas to the
+    bit, on the prior and after every model refresh."""
+
+    # (delta_max, state_cap): the q=110 leg buckets δ onto 41 states;
+    # a short pattern maps δ one to one
+    CASES = [(110, 40), (8, 40)]
+
+    @pytest.mark.parametrize("delta_max, state_cap", CASES)
+    def test_probability_equals_full_matrix_formula(self, delta_max,
+                                                    state_cap):
+        params = MarkovParams(rho=150, state_cap=state_cap)
+        predictor = MarkovPredictor(delta_max, params)
+        ell = params.ell
+        deltas = range(-1, delta_max + 6)
+        lefts = [*range(1, 40 * ell + 1), 0.4, 2.5, 13.5, 17.49, 399.6]
+        rng = np.random.default_rng(11)
+        for _epoch in range(4):
+            for delta in deltas:
+                for events_left in lefts:
+                    assert predictor.probability(delta, events_left) == \
+                        full_matrix_probability(predictor, delta,
+                                                events_left)
+            updates = predictor.updates
+            while predictor.updates == updates:  # one more _refresh
+                src = int(rng.integers(1, delta_max + 1))
+                predictor.observe(src, src - int(rng.integers(0, 3)))
+        assert predictor.updates == 4
+
+    @pytest.mark.parametrize("delta_max, state_cap", CASES + [(1000, 10)])
+    def test_state_of_equals_the_ceil_formula(self, delta_max, state_cap):
+        predictor = MarkovPredictor(delta_max,
+                                    MarkovParams(state_cap=state_cap))
+        for delta in range(-1, delta_max + 6):
+            assert predictor.state_of(delta) == \
+                full_matrix_state(predictor, delta)
+        assert predictor.state_of(2.5) == full_matrix_state(predictor, 2.5)

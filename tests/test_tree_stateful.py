@@ -9,17 +9,58 @@ advancement — and checks structural invariants after every step:
 * every live version's ``assumes_completed`` matches the completion-edge
   groups on its root path;
 * resolved group vertices retain only their valid edge;
-* group vertices always have resolvable registry entries.
+* group vertices always have resolvable registry entries;
+* the Fig. 6 scan picks the same ``(version, probability)`` list as
+  the closure-based reference below, for k in {1, 3, 8}.
 """
+
+import heapq
+import itertools
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 import hypothesis.strategies as st
 
 from repro.consumption.group import GroupState
+from repro.spectre.topk import completion_probability, find_top_k
 from repro.spectre.tree import GroupVertex, VersionVertex, path_assumptions
 
 from tests.helpers import TreeHarness
+
+# open-group prices: ties, zero-probability edges and certain completion
+PRICES = (0.0, 0.25, 0.5, 1.0)
+
+
+def reference_find_top_k(trees, k, group_probability):
+    """The Fig. 6 scan as a closure over ``heapq`` and
+    ``itertools.count`` — the formulation ``find_top_k`` inlines."""
+    counter = itertools.count()  # deterministic tie-break
+    heap = []
+
+    def push(vertex, probability: float) -> None:
+        if vertex is None or probability <= 0.0:
+            return
+        heapq.heappush(heap, (-probability, next(counter), vertex))
+
+    for tree in trees:
+        push(tree.root, 1.0)
+
+    result = []
+    while heap and len(result) < k:
+        neg_probability, _tie, vertex = heapq.heappop(heap)
+        probability = -neg_probability
+        if isinstance(vertex, VersionVertex):
+            version = vertex.version
+            if version.alive and not version.finished:
+                result.append((version, probability))
+            push(vertex.child, probability)
+        else:
+            assert isinstance(vertex, GroupVertex)
+            complete_p = completion_probability(vertex.group,
+                                                group_probability)
+            push(vertex.completion_child, probability * complete_p)
+            push(vertex.abandon_child, probability * (1.0 - complete_p))
+    return result
 
 
 class DependencyTreeMachine(RuleBasedStateMachine):
@@ -29,6 +70,7 @@ class DependencyTreeMachine(RuleBasedStateMachine):
         self.tree = self.harness.tree
         self.next_start = 0
         self.open_groups = []
+        self.prices = {}
         self.tree.seed(self._window())
 
     def _window(self):
@@ -58,6 +100,7 @@ class DependencyTreeMachine(RuleBasedStateMachine):
         owner = data.draw(st.sampled_from(candidates))
         group = self.harness.group(events=[owner.window.start_pos])
         group.owner = owner
+        self.prices[group.group_id] = data.draw(st.sampled_from(PRICES))
         owner.own_groups.append(group)
         self.tree.group_created(owner, group)
         self.open_groups.append(group)
@@ -86,6 +129,13 @@ class DependencyTreeMachine(RuleBasedStateMachine):
         self.open_groups.remove(group)
         group.retract()
         self.tree.retract_group(group)
+
+    @rule(data=st.data())
+    def finish_version(self, data):
+        """A finished version keeps its vertex but needs no instance."""
+        live = self._live_versions()
+        if live:
+            data.draw(st.sampled_from(live)).finished = True
 
     @rule()
     def advance_root(self):
@@ -141,6 +191,14 @@ class DependencyTreeMachine(RuleBasedStateMachine):
                 assert vertex.abandon_child is None
             elif vertex.group.state is GroupState.ABANDONED:
                 assert vertex.completion_child is None
+
+    @invariant()
+    def top_k_scan_matches_reference(self):
+        def price(group):
+            return self.prices[group.group_id]
+        for k in (1, 3, 8):
+            assert find_top_k([self.tree], k, price) == \
+                reference_find_top_k([self.tree], k, price)
 
 
 TestDependencyTreeStateful = DependencyTreeMachine.TestCase

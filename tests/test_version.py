@@ -1,6 +1,6 @@
 """Unit tests for window versions (speculative processing state)."""
 
-from repro.consumption import ConsumptionGroup, ConsumptionLedger
+from repro.consumption import ConsumptionGroup
 from repro.events import EventStream, make_event
 from repro.spectre.version import WindowVersion
 from repro.windows import Window
@@ -16,33 +16,6 @@ def make_version(assumes_completed=(), assumes_abandoned=(), ledger=None,
                          assumes_completed=tuple(assumes_completed),
                          assumes_abandoned=tuple(assumes_abandoned),
                          ledger=ledger)
-
-
-class TestSuppression:
-    def test_ledger_suppression(self):
-        ledger = ConsumptionLedger()
-        ledger.consume_seqs([3])
-        version = make_version(ledger=ledger)
-        assert version.is_suppressed(make_event(3, "A"))
-        assert not version.is_suppressed(make_event(4, "A"))
-
-    def test_group_suppression(self):
-        group = ConsumptionGroup(0, events=[make_event(5, "A")])
-        version = make_version(assumes_completed=[group])
-        assert version.is_suppressed(make_event(5, "A"))
-
-    def test_abandon_assumption_does_not_suppress(self):
-        group = ConsumptionGroup(0, events=[make_event(5, "A")])
-        version = make_version(assumes_abandoned=[group])
-        assert not version.is_suppressed(make_event(5, "A"))
-
-    def test_group_growth_extends_suppression(self):
-        group = ConsumptionGroup(0)
-        version = make_version(assumes_completed=[group])
-        event = make_event(7, "A")
-        assert not version.is_suppressed(event)
-        group.add(event)
-        assert version.is_suppressed(event)
 
 
 class TestConsistencyChecks:
@@ -118,12 +91,6 @@ class TestFinalValidation:
 
 
 class TestLifecycle:
-    def test_exhausted(self):
-        version = make_version(size=3)
-        assert not version.exhausted
-        version.position = 3
-        assert version.exhausted
-
     def test_detector_created_lazily(self):
         version = make_version()
         assert version.detector is None
